@@ -8,10 +8,33 @@ Solves
 
 with an over-relaxed ADMM scheme that alternates projection onto the affine
 subspace (one dense pseudo-inverse, precomputed) and projection onto the PSD
-cone (per-block eigendecomposition with negative eigenvalues clipped), the
-linear objective entering the affine step as a constant drift.  Simple,
+cone (eigendecomposition with negative eigenvalues clipped), the linear
+objective entering the affine step as a constant drift.  Simple,
 dependency-free, deterministic, and adequate for Gram matrices of side up to
 a few tens.
+
+How an iteration runs
+---------------------
+Blocks live in one stacked svec vector.  The cone projection gathers all
+blocks of one size into a ``(k, s, s)`` stack through index maps built once
+per problem, makes one batched ``eigh`` call per distinct size, scatters the
+clipped reconstructions back, and clips every 1x1 block in one vectorized
+``maximum``.
+
+The iterate (z, u) is a function of the single point s = z + u: by the
+Moreau decomposition z is the cone projection of s and u = s - z.  One ADMM
+step is therefore a fixed-point map s -> T(s).  When the problem has a
+nonzero objective, safeguarded type-II Anderson acceleration extrapolates s
+from the last ``ANDERSON_MEMORY`` steps once that many are stored.  An
+extrapolated point is kept only if its own residual ||T(s) - s|| is lower
+than that of the point it came from; otherwise the iteration steps from the
+stored plain point instead and clears the memory.  Feasibility problems
+(zero objective) run the plain map: there acceleration delays the stall
+signature below (the growth of |u| over a window) and flips some
+``infeasible-detected`` verdicts, so it costs more than it saves.  Every
+iteration's stop and stall tests run on a plain step taken from a kept
+point, so the returned blocks always come from a cone projection and are
+exactly PSD, and ``iterations`` counts plain steps.
 
 The PSD-side iterate is exactly PSD at every step, so a run can stop as soon
 as that iterate satisfies the equalities:
@@ -53,6 +76,9 @@ from .errors import CapacityError, InputError, SolverError
 
 DEFAULT_MAX_TOTAL_DIM = 400
 SDP_DIM_ENV_VAR = "POSLAB_MAX_SDP_DIM"
+ANDERSON_MEMORY = 8
+ANDERSON_REGULARIZATION = 1e-10  # relative Tikhonov weight of the least-squares fit
+_PACK_CHUNK = 32  # matrices per symmetry check in _BlockLayout.pack
 
 
 @dataclass(frozen=True)
@@ -118,6 +144,8 @@ class SdpSolution:
     consensus_gap: float = 0.0
     dual_gap: float | None = None
     message: str = ""
+    anderson_accepted: int = 0  # extrapolated points kept by the safeguard
+    anderson_rejected: int = 0  # extrapolated points undone by the safeguard
 
     @property
     def ok(self) -> bool:
@@ -133,130 +161,169 @@ class SdpSolution:
             "consensus_gap": self.consensus_gap,
             "dual_gap": self.dual_gap,
             "message": self.message,
+            "anderson_accepted": self.anderson_accepted,
+            "anderson_rejected": self.anderson_rejected,
         }
 
 
 # ----------------------------------------------------------------------
-# symmetric vectorization: <A, B>_F == svec(A) . svec(B)
+# symmetric vectorization: <A, B>_F == svec(A) . svec(B), with the upper
+# triangle of each block stored row by row and off-diagonal entries scaled
+# by sqrt(2)
 
 
-def _svec_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(size)
-    return rows, cols
+@dataclass(frozen=True)
+class _SizeClass:
+    """Index maps between the svec segments of all blocks of one size and
+    their stacked ``(k, size, size)`` matrix form."""
 
-
-def _svec(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    v = mat[rows, cols].astype(float).copy()
-    off = rows != cols
-    v[off] *= np.sqrt(2.0)
-    return v
-
-
-def _unsvec(vec: np.ndarray, size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    mat = np.zeros((size, size))
-    vals = vec.copy()
-    off = rows != cols
-    vals[off] /= np.sqrt(2.0)
-    mat[rows, cols] = vals
-    mat[cols, rows] = vals
-    return mat
+    size: int
+    blocks: tuple[int, ...]  # block indices, in order
+    segments: np.ndarray     # (k, p): svec position of each block's entries
+    gather: np.ndarray       # (k, size, size): svec position of each matrix entry
+    unscale: np.ndarray      # (size, size): sqrt(2) off the diagonal, 1 on it
+    upper: np.ndarray        # (p,): flat position of the svec entries in size*size
+    lower: np.ndarray        # (p,): flat position of their mirror images
+    scale: np.ndarray        # (p,): sqrt(2) off the diagonal, 1 on it
 
 
 class _BlockLayout:
-    """Offsets of each block inside the stacked svec coordinate vector."""
+    """Where each block sits in the stacked svec coordinate vector: one set
+    of svec <-> stacked-matrix maps per distinct block size."""
 
     def __init__(self, block_sizes: tuple[int, ...]):
         self.sizes = block_sizes
-        self.index_pairs = [_svec_indices(s) for s in block_sizes]
-        self.offsets = []
-        off = 0
-        for s in block_sizes:
-            self.offsets.append(off)
-            off += s * (s + 1) // 2
-        self.total = off
-
-    def pack(self, mats: tuple[np.ndarray | None, ...]) -> np.ndarray:
-        vec = np.zeros(self.total)
-        for j, m in enumerate(mats):
-            if m is None:
-                continue
-            s = self.sizes[j]
-            arr = np.asarray(m, dtype=float)
-            if arr.shape != (s, s):
-                raise InputError(
-                    f"block {j} matrix has shape {arr.shape}, expected {(s, s)}"
+        lengths = [s * (s + 1) // 2 for s in block_sizes]
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))[:-1]
+        self.total = int(sum(lengths))
+        self.classes: list[_SizeClass] = []
+        for size in sorted(set(block_sizes)):
+            blocks = tuple(j for j, s in enumerate(block_sizes) if s == size)
+            rows, cols = np.triu_indices(size)
+            local = np.zeros((size, size), dtype=np.intp)
+            local[rows, cols] = np.arange(rows.size)
+            local[cols, rows] = np.arange(rows.size)
+            starts = offsets[list(blocks)]
+            scale = np.where(rows != cols, np.sqrt(2.0), 1.0)
+            self.classes.append(
+                _SizeClass(
+                    size=size,
+                    blocks=blocks,
+                    segments=starts[:, None] + np.arange(rows.size),
+                    gather=starts[:, None, None] + local,
+                    unscale=scale[local],
+                    upper=rows * size + cols,
+                    lower=cols * size + rows,
+                    scale=scale,
                 )
-            if not np.allclose(arr, arr.T, atol=1e-12):
-                raise InputError(f"block {j} matrix is not symmetric")
-            rows, cols = self.index_pairs[j]
-            o = self.offsets[j]
-            vec[o : o + rows.size] = _svec(arr, rows, cols)
-        return vec
+            )
+
+    def _stack(self, vec: np.ndarray, cls: _SizeClass) -> np.ndarray:
+        return vec[cls.gather] / cls.unscale
+
+    def pack(self, rows) -> np.ndarray:
+        """svec each row's block matrices (a tuple, None for an absent block)
+        into one row of the returned ``(len(rows), total)`` array."""
+        out = np.zeros((len(rows), self.total))
+        for row in rows:
+            if len(row) > len(self.sizes):
+                raise InputError(
+                    f"{len(row)} block matrices given for {len(self.sizes)} blocks"
+                )
+        for cls in self.classes:
+            s = cls.size
+            for seg, j in zip(cls.segments, cls.blocks):
+                ids = [i for i, row in enumerate(rows) if j < len(row) and row[j] is not None]
+                # a bounded number of matrices at a time keeps the temporaries
+                # small next to ``out``
+                for lo in range(0, len(ids), _PACK_CHUNK):
+                    chunk = ids[lo : lo + _PACK_CHUNK]
+                    mats = [np.asarray(rows[i][j], dtype=float) for i in chunk]
+                    for arr in mats:
+                        if arr.shape != (s, s):
+                            raise InputError(
+                                f"block {j} matrix has shape {arr.shape}, expected {(s, s)}"
+                            )
+                    stack = np.stack(mats)
+                    flat = stack.reshape(len(chunk), s * s)
+                    upper = flat[:, cls.upper]
+                    if not np.array_equal(upper, flat[:, cls.lower]) and not np.isclose(
+                        stack, stack.transpose(0, 2, 1), atol=1e-12
+                    ).all():
+                        raise InputError(f"block {j} matrix is not symmetric")
+                    out[np.array(chunk)[:, None], seg] = upper * cls.scale
+        return out
 
     def unpack(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
-        mats = []
-        for j, s in enumerate(self.sizes):
-            rows, cols = self.index_pairs[j]
-            o = self.offsets[j]
-            mats.append(_unsvec(vec[o : o + rows.size], s, rows, cols))
+        mats: list[np.ndarray | None] = [None] * len(self.sizes)
+        for cls in self.classes:
+            stack = self._stack(vec, cls)
+            for j, mat in zip(cls.blocks, stack):
+                mats[j] = mat
         return tuple(mats)
 
     def project_psd(self, vec: np.ndarray) -> np.ndarray:
         out = np.empty_like(vec)
-        for j, s in enumerate(self.sizes):
-            rows, cols = self.index_pairs[j]
-            o = self.offsets[j]
-            seg = vec[o : o + rows.size]
-            if s == 1:
-                out[o] = max(seg[0], 0.0)
+        for cls in self.classes:
+            if cls.size == 1:
+                out[cls.segments] = np.maximum(vec[cls.segments], 0.0)
                 continue
-            mat = _unsvec(seg, s, rows, cols)
-            w, v = np.linalg.eigh(mat)
-            w = np.clip(w, 0.0, None)
-            proj = (v * w) @ v.T
-            proj = 0.5 * (proj + proj.T)
-            out[o : o + rows.size] = _svec(proj, rows, cols)
+            w, v = np.linalg.eigh(self._stack(vec, cls))
+            proj = (v * np.maximum(w, 0.0)[:, None, :]) @ v.transpose(0, 2, 1)
+            flat = proj.reshape(len(cls.blocks), -1)
+            out[cls.segments] = 0.5 * (flat[:, cls.upper] + flat[:, cls.lower]) * cls.scale
         return out
 
     def min_eigenvalue(self, vec: np.ndarray) -> float:
         worst = np.inf
-        for j, s in enumerate(self.sizes):
-            rows, cols = self.index_pairs[j]
-            o = self.offsets[j]
-            seg = vec[o : o + rows.size]
-            if s == 1:
-                worst = min(worst, float(seg[0]))
+        for cls in self.classes:
+            if cls.size == 1:
+                worst = min(worst, float(vec[cls.segments].min()))
             else:
-                mat = _unsvec(seg, s, rows, cols)
-                worst = min(worst, float(np.linalg.eigvalsh(mat)[0]))
+                worst = min(worst, float(np.linalg.eigvalsh(self._stack(vec, cls)).min()))
         return worst if np.isfinite(worst) else 0.0
 
 
-def dump_problem(problem: SdpProblem) -> str:
-    """Plain-text debug dump: block sizes, then one upper-triangle triplet
-    line ``block row col value`` per nonzero entry of each constraint and of
-    the objective."""
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map s -> T(s) (Walker &
+    Ni 2011), memory ``ANDERSON_MEMORY``; the caller owns the safeguard."""
 
-    def triplets(mats, indent="  "):
-        lines = []
-        for j, mat in enumerate(mats):
-            if mat is None:
-                continue
-            arr = np.asarray(mat, dtype=float)
-            for r in range(arr.shape[0]):
-                for c in range(r, arr.shape[1]):
-                    if arr[r, c] != 0.0:
-                        lines.append(f"{indent}{j} {r} {c} {float(arr[r, c])!r}")
-        return lines
+    def __init__(self, n: int):
+        self._dt = np.zeros((ANDERSON_MEMORY, n))  # differences of T(s)
+        self._dg = np.zeros((ANDERSON_MEMORY, n))  # differences of T(s) - s
+        self.reset()
 
-    lines = ["blocks " + " ".join(str(s) for s in problem.block_sizes)]
-    for i, con in enumerate(problem.constraints):
-        lines.append(f"constraint {i} rhs {float(con.rhs)!r}")
-        lines.extend(triplets(con.matrices))
-    if problem.objective is not None:
-        lines.append("objective")
-        lines.extend(triplets(problem.objective))
-    return "\n".join(lines) + "\n"
+    def reset(self) -> None:
+        self._count = 0
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def extrapolate(self, s: np.ndarray, t: np.ndarray) -> np.ndarray | None:
+        """Record the step from s to t = T(s) and return the extrapolated
+        next point, or None until the memory is full.
+
+        Extrapolating from a partly filled memory, right after a start or a
+        reset, mostly yields points the safeguard undoes again."""
+        g = t - s
+        if self._last is not None:
+            last_t, last_g = self._last
+            slot = self._count % ANDERSON_MEMORY
+            self._dt[slot] = t - last_t
+            self._dg[slot] = g - last_g
+            self._count += 1
+        self._last = (t, g)
+        if self._count < ANDERSON_MEMORY:
+            return None
+        gram = self._dg @ self._dg.T
+        # Tikhonov weight relative to the size of the differences and of the
+        # residual: where the residual barely changes from step to step (the
+        # map acts as a translation), the weights stay small instead of
+        # blowing up to fit rounding noise.
+        scale = float(gram.trace()) + float(g @ g)
+        if not scale > 0.0:
+            return None
+        gram.flat[:: ANDERSON_MEMORY + 1] += ANDERSON_REGULARIZATION * scale
+        gamma = np.linalg.solve(gram, self._dg @ g)
+        return t - gamma @ self._dt
 
 
 def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution:
@@ -271,16 +338,13 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     n = layout.total
     m = len(problem.constraints)
 
-    a_mat = np.zeros((m, n))
-    b = np.zeros(m)
-    for i, con in enumerate(problem.constraints):
-        a_mat[i] = layout.pack(con.matrices)
-        b[i] = float(con.rhs)
+    a_mat = layout.pack([con.matrices for con in problem.constraints])
+    b = np.array([float(con.rhs) for con in problem.constraints], dtype=float)
 
     c_vec = np.zeros(n)
     has_objective = False
     if problem.objective is not None:
-        c_vec = layout.pack(problem.objective)
+        c_vec = layout.pack([problem.objective])[0]
         has_objective = bool(np.any(c_vec))
 
     # Row scaling; a zero row with nonzero rhs is an immediate contradiction.
@@ -308,13 +372,13 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         # an inconsistent equality system is exactly detectable: the
         # least-squares point cannot satisfy the constraints
         ls_point = a_hat.T @ (gram_pinv @ b_hat)
-        ls_residual = float(np.max(np.abs(a_hat @ ls_point - b_hat)))
-        if ls_residual > 1e-8 * max(1.0, float(np.max(np.abs(b_hat)))):
+        ls_residual = float(np.abs(a_hat @ ls_point - b_hat).max())
+        if ls_residual > 1e-8 * max(1.0, float(np.abs(b_hat).max())):
             return SdpSolution(
                 status="infeasible-detected",
                 block_values=layout.unpack(np.zeros(n)),
                 objective_value=0.0,
-                primal_residual=float(np.max(np.abs(a_mat @ ls_point - b))),
+                primal_residual=float(np.abs(a_mat @ ls_point - b).max()),
                 min_eigenvalue=0.0,
                 iterations=0,
                 message="equality constraints are mutually inconsistent",
@@ -322,12 +386,22 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
 
     rho_eff = max(1.0, float(np.linalg.norm(c_vec)))
     drift = c_vec / rho_eff
-    c_scale = 1.0 + float(np.max(np.abs(c_vec))) if has_objective else 1.0
+    c_scale = 1.0 + float(np.abs(c_vec).max()) if has_objective else 1.0
     alpha = opts.over_relaxation
+
+    def plain_step(z, u):
+        """One ADMM step from (z, u) up to the cone projection: the affine
+        multiplier, the affine projection x and the point T(s)."""
+        w = z - u - drift
+        if m:
+            mu = gram_pinv @ (a_hat @ w - b_hat)
+            x = w - a_hat.T @ mu
+        else:
+            mu, x = np.zeros(0), w
+        return mu, x, alpha * x + (1.0 - alpha) * z + u
 
     z = np.zeros(n)
     u = np.zeros(n)
-    mu = np.zeros(m)
     best_res = np.inf
     last_improvement = 0
     status = "max-iterations"
@@ -338,22 +412,41 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     dual_gap: float | None = None
     u_norm_hist = np.zeros(opts.stall_window)  # trailing |u| ring buffer
 
-    for it in range(1, opts.max_iterations + 1):
-        w = z - u - drift
-        if m:
-            mu = gram_pinv @ (a_hat @ w - b_hat)
-            x = w - a_hat.T @ mu
-        else:
-            x = w
-        x_relaxed = alpha * x + (1.0 - alpha) * z
-        z_new = layout.project_psd(x_relaxed + u)
-        u = u + x_relaxed - z_new
+    # Acceleration state: the current point s = z + u, whether it was
+    # extrapolated, the residual it must beat if so, and the plain step
+    # (z, u, s) to return to when it does not.
+    anderson = _Anderson(n) if has_objective else None
+    s = np.zeros(n)
+    extrapolated = False
+    safe_norm = np.inf
+    fallback = (z, u, s)
+    accepted = rejected = 0
 
-        gap = float(np.max(np.abs(x - z_new))) if n else 0.0
-        step = float(np.max(np.abs(z_new - z))) if n else 0.0
+    for it in range(1, opts.max_iterations + 1):
+        mu, x, t = plain_step(z, u)
+        if anderson is not None:
+            # Keep an extrapolated point only if its fixed-point residual
+            # beat the one of the point it came from; otherwise step from
+            # the stored plain point instead, so every iteration's stop and
+            # stall tests see a plain step.
+            res_norm = float(np.linalg.norm(t - s))
+            if extrapolated and not res_norm < safe_norm:
+                rejected += 1
+                z, u, s = fallback
+                anderson.reset()
+                mu, x, t = plain_step(z, u)
+                res_norm = float(np.linalg.norm(t - s))
+            elif extrapolated:
+                accepted += 1
+            safe_norm = res_norm
+        z_new = layout.project_psd(t)
+        u = t - z_new
+
+        gap = float(np.abs(x - z_new).max()) if n else 0.0
+        step = float(np.abs(z_new - z).max()) if n else 0.0
         z = z_new
         if m:
-            aff = float(np.max(np.abs((a_hat @ z - b_hat) * row_scale)))
+            aff = float(np.abs((a_hat @ z - b_hat) * row_scale).max())
         else:
             aff = 0.0
 
@@ -395,7 +488,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             last_improvement = it
         if res < best_res:
             best_res = res
-        u_norm = float(np.max(np.abs(u))) if n else 0.0
+        u_norm = float(np.abs(u).max()) if n else 0.0
         window_ago = u_norm_hist[it % opts.stall_window]
         u_norm_hist[it % opts.stall_window] = u_norm
         if (
@@ -424,13 +517,26 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             iterations = it
             message = "objective diverged; problem may be unbounded"
             break
+
+        if anderson is None:
+            continue
+        s_next = anderson.extrapolate(s, t)
+        if s_next is None:
+            s = t
+            extrapolated = False
+        else:
+            fallback = (z, u, t)
+            s = s_next
+            z = layout.project_psd(s)
+            u = s - z
+            extrapolated = True
     else:
         iterations = opts.max_iterations
         message = f"iteration cap reached with residual {best_res:.3e}"
 
     blocks = layout.unpack(z)
     min_eig = layout.min_eigenvalue(z)
-    primal_residual = float(np.max(np.abs(a_mat @ z - b))) if m else 0.0
+    primal_residual = float(np.abs(a_mat @ z - b).max()) if m else 0.0
     objective_value = float(c_vec @ z)
 
     return SdpSolution(
@@ -443,4 +549,6 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
         consensus_gap=gap,
         dual_gap=dual_gap,
         message=message,
+        anderson_accepted=accepted,
+        anderson_rejected=rejected,
     )

@@ -402,8 +402,10 @@ def lasserre_bound(
     """Largest a with f - a in the level-`level` quadratic module.
 
     Returns -inf (with a reason) when no finite bound exists at this level:
-    either the level is below deg f, or the compiled SDP is detected
-    infeasible for every a.  Solver stalls raise SolverError.
+    the level is below deg f, the compiled SDP is detected infeasible for
+    every a, or the solver's certificate fails independent verification (it
+    stays in the result, with its report, for diagnostics).  Solver stalls
+    raise SolverError.
     """
     if f.dimension != system.dimension:
         raise DimensionMismatchError(
@@ -440,6 +442,20 @@ def lasserre_bound(
         )
         shifted = f - Polynomial.constant(f.dimension, bound)
         report = verify(cert, shifted, residual_tol, psd_tol)
+        if not report.passed:
+            return LasserreResult(
+                level=level,
+                lower_bound=float("-inf"),
+                certificate=cert,
+                reason=(
+                    f"solver output failed independent verification "
+                    f"(residual {report.residual_norm:.3e}, min Gram eigenvalue "
+                    f"{report.min_gram_eigenvalue:.3e}); no bound is certified"
+                ),
+                status=solution.status,
+                verification=report,
+                solver=solution.diagnostics(),
+            )
         return LasserreResult(
             level=level,
             lower_bound=bound,

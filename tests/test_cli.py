@@ -40,6 +40,34 @@ def test_solve_writes_bound(tmp_path, interval_problem):
     assert data["verification"]["pass"] is True
 
 
+def test_solve_failed_verification_exits_2(tmp_path, interval_problem):
+    # a negative tolerance fails every certificate: no bound may be reported
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--input", interval_problem, "--level", "2",
+                 "--tol=-1", "--output", str(out)])
+    assert code == 2
+    data = json.loads(out.read_text())
+    assert data["lower_bound"] is None
+    assert data["finite"] is False
+    assert "residual" in data["reason"]
+    assert data["certificate"] is not None
+    assert data["verification"]["pass"] is False
+
+
+def test_solver_counters_in_payloads(tmp_path, interval_problem, shifted_problem):
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--input", interval_problem, "--level", "2",
+                 "--output", str(out)]) == 0
+    solver = json.loads(out.read_text())["solver"]
+    assert solver["anderson_accepted"] > 0
+    assert isinstance(solver["anderson_rejected"], int)
+    assert main(["certify", "--input", shifted_problem, "--level", "2",
+                 "--output", str(out)]) == 0
+    solver = json.loads(out.read_text())["solver"]
+    assert solver["anderson_accepted"] == 0
+    assert solver["anderson_rejected"] == 0
+
+
 def test_solve_level_below_degree_exits_2(tmp_path):
     path = write_problem(tmp_path / "p.json", 1, "x1^4", ["1 - x1^2"])
     out = tmp_path / "sol.json"

@@ -132,25 +132,6 @@ def test_dimension_cap_env_override(monkeypatch):
         solve(problem)
 
 
-def test_dump_problem_triplet_format():
-    from poslab.sdp import dump_problem
-
-    problem = SdpProblem(
-        (2, 1),
-        (SdpConstraint((E12, np.array([[1.0]])), 0.5),),
-        (E22, None),
-    )
-    text = dump_problem(problem)
-    lines = text.strip().split("\n")
-    assert lines[0] == "blocks 2 1"
-    assert lines[1] == "constraint 0 rhs 0.5"
-    assert "  0 0 1 0.5" in lines
-    assert "  1 0 0 1.0" in lines
-    assert "objective" in lines
-    assert "  0 1 1 1.0" in lines
-    assert dump_problem(problem) == text  # deterministic
-
-
 def test_rejects_asymmetric_matrices():
     from poslab import InputError
 
@@ -158,3 +139,86 @@ def test_rejects_asymmetric_matrices():
     problem = SdpProblem((2,), (SdpConstraint((bad,), 0.0),))
     with pytest.raises(InputError):
         solve(problem)
+
+
+def _diagonal_constrained_problem(k: int, seed: int) -> SdpProblem:
+    # min <C, X> s.t. diag(X) = 1, X PSD (the max-cut relaxation)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(k, k))
+    c = 0.5 * (c + c.T)
+    constraints = []
+    for i in range(k):
+        e = np.zeros((k, k))
+        e[i, i] = 1.0
+        constraints.append(SdpConstraint((e,), 1.0))
+    return SdpProblem((k,), tuple(constraints), (c,))
+
+
+def test_acceleration_iteration_guard():
+    # The plain over-relaxed iteration needs 350 iterations on this instance
+    # (measured before acceleration was added); the accelerated solver must
+    # need at most half of that and land on the same optimum.
+    sol = solve(_diagonal_constrained_problem(6, seed=6))
+    assert sol.status == "optimal"
+    assert sol.iterations <= 350 // 2
+    assert sol.objective_value == pytest.approx(-12.345918745, abs=1e-6)
+
+
+def test_anderson_counters_on_optimization_form():
+    sol = solve(_diagonal_constrained_problem(6, seed=6))
+    diag = sol.diagnostics()
+    # the safeguard keeps most extrapolated points and undoes a few
+    assert diag["anderson_accepted"] > 0
+    assert diag["anderson_rejected"] > 0
+    assert diag["anderson_accepted"] + diag["anderson_rejected"] < sol.iterations
+
+
+def test_anderson_counters_zero_on_feasibility_form():
+    problem = SdpProblem(
+        (3, 1),
+        (
+            SdpConstraint((np.eye(3), None), 2.0),
+            SdpConstraint((np.diag([1.0, -1.0, 0.0]), np.array([[1.0]])), 0.5),
+        ),
+    )
+    sol = solve(problem)
+    assert sol.status == "feasible"
+    diag = sol.diagnostics()
+    assert diag["anderson_accepted"] == 0
+    assert diag["anderson_rejected"] == 0
+
+
+def _per_block_projection(sizes, vec):
+    """Reference PSD projection: one eigendecomposition per block."""
+    out = []
+    offset = 0
+    for s in sizes:
+        rows, cols = np.triu_indices(s)
+        weight = np.where(rows == cols, 1.0, np.sqrt(2.0))
+        seg = vec[offset : offset + rows.size] / weight
+        mat = np.zeros((s, s))
+        mat[rows, cols] = seg
+        mat[cols, rows] = seg
+        w, v = np.linalg.eigh(mat)
+        proj = (v * np.clip(w, 0.0, None)) @ v.T
+        out.append(proj[rows, cols] * weight)
+        offset += rows.size
+    return np.concatenate(out)
+
+
+def test_batched_projection_matches_per_block_reference():
+    from poslab.sdp import _BlockLayout
+
+    # repeated sizes, several 1x1 blocks, sizes out of order
+    sizes = (4, 1, 3, 4, 1, 2, 3, 1, 4, 5)
+    layout = _BlockLayout(sizes)
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        vec = rng.normal(size=layout.total) * rng.uniform(0.1, 10.0)
+        proj = layout.project_psd(vec)
+        assert np.max(np.abs(proj - _per_block_projection(sizes, vec))) <= 1e-12
+        assert layout.min_eigenvalue(proj) >= -1e-12
+        assert np.max(np.abs(layout.project_psd(proj) - proj)) <= 1e-12
+        for block, s in zip(layout.unpack(proj), sizes):
+            assert block.shape == (s, s)
+            assert np.linalg.eigvalsh(block)[0] >= -1e-12

@@ -251,6 +251,17 @@ def test_lasserre_iteration_cap_raises_solver_error():
         lasserre_bound(P("x1"), interval_system(), 2, options=tiny_cap)
 
 
+def test_lasserre_failed_verification_gives_no_bound():
+    # a weighted-norm residual is never negative, so no certificate passes
+    res = lasserre_bound(P("x1"), interval_system(), 2, residual_tol=-1.0)
+    assert res.lower_bound == float("-inf")
+    assert not res.is_finite
+    assert "residual" in res.reason
+    assert res.certificate is not None
+    assert res.verification is not None and not res.verification.passed
+    assert res.solver["status"] == "optimal"
+
+
 def test_membership_iteration_cap_is_inconclusive():
     from poslab import SdpOptions
 
