@@ -23,18 +23,32 @@ clipped reconstructions back, and clips every 1x1 block in one vectorized
 
 The iterate (z, u) is a function of the single point s = z + u: by the
 Moreau decomposition z is the cone projection of s and u = s - z.  One ADMM
-step is therefore a fixed-point map s -> T(s).  When the problem has a
-nonzero objective, safeguarded type-II Anderson acceleration extrapolates s
-from the last ``ANDERSON_MEMORY`` steps once that many are stored.  An
-extrapolated point is kept only if its own residual ||T(s) - s|| is lower
-than that of the point it came from; otherwise the iteration steps from the
-stored plain point instead and clears the memory.  Feasibility problems
-(zero objective) run the plain map: there acceleration delays the stall
-signature below (the growth of |u| over a window) and flips some
-``infeasible-detected`` verdicts, so it costs more than it saves.  Every
-iteration's stop and stall tests run on a plain step taken from a kept
-point, so the returned blocks always come from a cone projection and are
-exactly PSD, and ``iterations`` counts plain steps.
+step is therefore a fixed-point map s -> T(s), and an iteration makes one
+cone projection, at the point it moves to.  It takes the affine step from
+(z, u), which gives t = T(s), then picks the next point s': t itself, or,
+when the problem has a nonzero objective and the last ``ANDERSON_MEMORY``
+steps are stored, the safeguarded type-II Anderson extrapolation of the
+stored steps.  Then it projects once, z = P(s'), u = s' - z, and runs the
+stop tests on that z (exactly PSD) with the affine step just taken.
+
+The safeguard judges an extrapolated s' in the next iteration: s' is kept
+only if its own residual ||T(s') - s'|| is lower than that of the point it
+came from.  Otherwise the iteration projects the stored plain point t
+instead, steps from there and clears the memory.  So a solve makes
+``iterations + anderson_rejected`` projections, and ``iterations`` counts
+affine steps from kept points.  Feasibility problems (zero objective) run
+the plain map: there acceleration delays the stall signature below (the
+growth of |u| over a window) and flips some ``infeasible-detected``
+verdicts, so it costs more than it saves.
+
+The stall test takes one sample per iteration, max(gap, equality residual)
+and |u| at the projected point, and never one at a point the safeguard
+undoes.  The sample of a plain point is taken at once.  The sample of an
+extrapolated point waits for the safeguard's verdict on it; if the point is
+undone, the sample at P(t) replaces it, which is what the iteration would
+have sampled without the extrapolation.  A verdict on a held sample ends
+the run at the iteration the sample belongs to.  The divergence and
+breakdown guards see the same samples.
 
 The PSD-side iterate is exactly PSD at every step, so a run can stop as soon
 as that iterate satisfies the equalities:
@@ -400,55 +414,114 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             mu, x = np.zeros(0), w
         return mu, x, alpha * x + (1.0 - alpha) * z + u
 
-    z = np.zeros(n)
-    u = np.zeros(n)
+    def measure(x, z, u):
+        """The consensus gap |x - z|, the equality residual of z and |u| at
+        the projected point z = P(s), u = s - z reached from the affine
+        projection x."""
+        gap = float(np.abs(x - z).max()) if n else 0.0
+        aff = float(np.abs((a_hat @ z - b_hat) * row_scale).max()) if m else 0.0
+        return gap, aff, float(np.abs(u).max()) if n else 0.0
+
     best_res = np.inf
     last_improvement = 0
+    u_norm_hist = np.zeros(opts.stall_window)  # trailing |u| ring buffer
+
+    def settle(it, res, u_norm, z):
+        """Feed iteration ``it``'s sample (its residual max(gap, aff) and |u|
+        at the point z) to the stall test and the breakdown and divergence
+        guards; return (status, message) when the run ends there."""
+        nonlocal best_res, last_improvement
+        if res < best_res * (1.0 - opts.stall_improvement):
+            last_improvement = it
+        if res < best_res:
+            best_res = res
+        window_ago = u_norm_hist[it % opts.stall_window]
+        u_norm_hist[it % opts.stall_window] = u_norm
+        if (
+            it - last_improvement >= opts.stall_window
+            and best_res > opts.stall_residual
+            and it > opts.stall_window
+            and u_norm - window_ago
+            >= opts.stall_dual_growth * opts.stall_window * best_res
+        ):
+            # diverging duals over a stalled window are the splitting
+            # method's infeasibility signature; bounded duals just mean slow
+            return "infeasible-detected", (
+                f"residual stalled at {best_res:.3e} for {opts.stall_window} "
+                f"iterations with diverging duals"
+            )
+        if not np.isfinite(res):
+            raise SolverError(
+                "numerical breakdown: nonfinite residual",
+                {"iteration": it, "residual": res},
+            )
+        if has_objective and abs(float(c_vec @ z)) > opts.unbounded_threshold:
+            return "max-iterations", "objective diverged; problem may be unbounded"
+        return None
+
+    z = np.zeros(n)
+    u = np.zeros(n)
     status = "max-iterations"
     message = ""
     iterations = opts.max_iterations
     gap = 0.0
-    aff = 0.0
     dual_gap: float | None = None
-    u_norm_hist = np.zeros(opts.stall_window)  # trailing |u| ring buffer
 
-    # Acceleration state: the current point s = z + u, whether it was
-    # extrapolated, the residual it must beat if so, and the plain step
-    # (z, u, s) to return to when it does not.
+    # Acceleration state: the current point s = z + u and the residual it
+    # must beat; if s was extrapolated, its stall sample (res, |u|, x) at
+    # P(s), held until the safeguard has judged s, and in ``fallback`` the
+    # plain point T(s_prev) to return to if s is undone.
     anderson = _Anderson(n) if has_objective else None
     s = np.zeros(n)
-    extrapolated = False
     safe_norm = np.inf
-    fallback = (z, u, s)
+    held = None
     accepted = rejected = 0
 
     for it in range(1, opts.max_iterations + 1):
         mu, x, t = plain_step(z, u)
         if anderson is not None:
-            # Keep an extrapolated point only if its fixed-point residual
-            # beat the one of the point it came from; otherwise step from
-            # the stored plain point instead, so every iteration's stop and
-            # stall tests see a plain step.
             res_norm = float(np.linalg.norm(t - s))
-            if extrapolated and not res_norm < safe_norm:
-                rejected += 1
-                z, u, s = fallback
-                anderson.reset()
-                mu, x, t = plain_step(z, u)
-                res_norm = float(np.linalg.norm(t - s))
-            elif extrapolated:
-                accepted += 1
+            if held is not None:
+                # Keep an extrapolated point only if its fixed-point residual
+                # beat the one of the point it came from.  Otherwise project
+                # the stored plain point, step from there, and let its
+                # sample stand in for the held one: the stall test never
+                # sees a point the safeguard undid.
+                res, u_norm, held_x = held
+                held = None
+                undone = not res_norm < safe_norm
+                if undone:
+                    rejected += 1
+                    anderson.reset()
+                    s = fallback
+                    z = layout.project_psd(s)
+                    u = s - z
+                    gap, aff, u_norm = measure(held_x, z, u)
+                    res = max(gap, aff)
+                else:
+                    accepted += 1
+                verdict = settle(it - 1, res, u_norm, z)
+                if verdict is not None:
+                    status, message = verdict
+                    iterations = it - 1
+                    break
+                if undone:
+                    mu, x, t = plain_step(z, u)
+                    res_norm = float(np.linalg.norm(t - s))
             safe_norm = res_norm
-        z_new = layout.project_psd(t)
-        u = t - z_new
+            s_next = anderson.extrapolate(s, t)
+        else:
+            s_next = None
 
-        gap = float(np.abs(x - z_new).max()) if n else 0.0
+        # The next point is chosen before the one cone projection of the
+        # iteration: the extrapolation if there is one, else the plain step.
+        fallback = t
+        s = t if s_next is None else s_next
+        z_new = layout.project_psd(s)
+        u = s - z_new
+        gap, aff, u_norm = measure(x, z_new, u)
         step = float(np.abs(z_new - z).max()) if n else 0.0
         z = z_new
-        if m:
-            aff = float(np.abs((a_hat @ z - b_hat) * row_scale).max())
-        else:
-            aff = 0.0
 
         if not has_objective:
             # z is exactly PSD; meeting the equalities makes it a certificate.
@@ -483,53 +556,14 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
                         dual_gap = pd_gap
                         break
 
-        res = max(gap, aff)
-        if res < best_res * (1.0 - opts.stall_improvement):
-            last_improvement = it
-        if res < best_res:
-            best_res = res
-        u_norm = float(np.abs(u).max()) if n else 0.0
-        window_ago = u_norm_hist[it % opts.stall_window]
-        u_norm_hist[it % opts.stall_window] = u_norm
-        if (
-            it - last_improvement >= opts.stall_window
-            and best_res > opts.stall_residual
-            and it > opts.stall_window
-            and u_norm - window_ago
-            >= opts.stall_dual_growth * opts.stall_window * best_res
-        ):
-            # diverging duals over a stalled window are the splitting
-            # method's infeasibility signature; bounded duals just mean slow
-            status = "infeasible-detected"
-            iterations = it
-            message = (
-                f"residual stalled at {best_res:.3e} for {opts.stall_window} "
-                f"iterations with diverging duals"
-            )
-            break
-        if not np.isfinite(res):
-            raise SolverError(
-                "numerical breakdown: nonfinite residual",
-                {"iteration": it, "residual": res},
-            )
-        if has_objective and abs(float(c_vec @ z)) > opts.unbounded_threshold:
-            status = "max-iterations"
-            iterations = it
-            message = "objective diverged; problem may be unbounded"
-            break
-
-        if anderson is None:
+        if s_next is not None:
+            held = (max(gap, aff), u_norm, x)
             continue
-        s_next = anderson.extrapolate(s, t)
-        if s_next is None:
-            s = t
-            extrapolated = False
-        else:
-            fallback = (z, u, t)
-            s = s_next
-            z = layout.project_psd(s)
-            u = s - z
-            extrapolated = True
+        verdict = settle(it, max(gap, aff), u_norm, z)
+        if verdict is not None:
+            status, message = verdict
+            iterations = it
+            break
     else:
         iterations = opts.max_iterations
         message = f"iteration cap reached with residual {best_res:.3e}"

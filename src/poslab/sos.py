@@ -402,10 +402,12 @@ def lasserre_bound(
     """Largest a with f - a in the level-`level` quadratic module.
 
     Returns -inf (with a reason) when no finite bound exists at this level:
-    the level is below deg f, the compiled SDP is detected infeasible for
-    every a, or the solver's certificate fails independent verification (it
-    stays in the result, with its report, for diagnostics).  Solver stalls
-    raise SolverError.
+    the level is below deg f, the compiled SDP is reported
+    ``infeasible-detected`` (an infeasible equality system, or the solver's
+    stall heuristic, which is no proof), or the solver's certificate fails
+    independent verification (it stays in the result, with its report, for
+    diagnostics).  Only a solve that ends with ``max-iterations`` (the
+    iteration cap, or a diverging objective) raises SolverError.
     """
     if f.dimension != system.dimension:
         raise DimensionMismatchError(

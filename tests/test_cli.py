@@ -345,3 +345,72 @@ def test_env_cap_override(tmp_path, shifted_problem, monkeypatch):
     out = tmp_path / "ok.json"
     assert main(["solve", "--input", shifted_problem, "--level", "2",
                  "--output", str(out)]) == 0
+
+
+# ----------------------------------------------------------------------
+# one parser per process, and ``python -m poslab``
+
+
+def _run_module(args, env_extra):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import poslab
+
+    src = str(Path(poslab.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_extra)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "poslab", *args],
+        capture_output=True, env=env, timeout=120,
+    )
+
+
+def test_reused_parser_matches_separate_processes(
+    interval_problem, shifted_problem, capsys, monkeypatch
+):
+    # usage lines wrap at the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        (["solve", "--input", interval_problem, "--level", "2"], 0),
+        (["solve", "--input", interval_problem, "--level", "2", "--bogus"], 1),
+        (["frobnicate"], 1),
+        (["certify", "--input", shifted_problem, "--level", "2"], 0),
+    ]
+    for argv, expected in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        separate = _run_module(argv, {"COLUMNS": "80"})
+        assert code == separate.returncode == expected
+        assert out.encode() == separate.stdout
+        assert err.encode() == separate.stderr
+
+
+def test_parser_is_built_once(interval_problem, monkeypatch, capsys):
+    from poslab import cli as cli_mod
+
+    built = []
+    original = cli_mod.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli_mod, "build_parser", counting)
+    cli_mod._parser.cache_clear()
+    try:
+        assert main(["solve", "--input", interval_problem, "--level", "2"]) == 0
+        assert main(["frobnicate"]) == 1
+        assert main(["solve", "--input", interval_problem, "--level", "2"]) == 0
+    finally:
+        cli_mod._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_module_entry_point_help():
+    proc = _run_module(["--help"], {})
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"usage: poslab")
+    assert b"certify" in proc.stdout

@@ -188,6 +188,86 @@ def test_anderson_counters_zero_on_feasibility_form():
     assert diag["anderson_rejected"] == 0
 
 
+def _count_projections(monkeypatch):
+    from poslab.sdp import _BlockLayout
+
+    calls = []
+    project = _BlockLayout.project_psd
+
+    def counting(self, vec):
+        calls.append(1)
+        return project(self, vec)
+
+    monkeypatch.setattr(_BlockLayout, "project_psd", counting)
+    return calls
+
+
+def _rank_two_feasibility_problem(k: int, m: int, seed: int) -> SdpProblem:
+    # m random equalities satisfied by a rank-2 PSD matrix; no objective
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(k, 2))
+    x0 = w @ w.T
+    constraints = []
+    for _ in range(m):
+        a = rng.normal(size=(k, k))
+        a = 0.5 * (a + a.T)
+        constraints.append(SdpConstraint((a,), float(np.sum(a * x0))))
+    return SdpProblem((k,), tuple(constraints))
+
+
+def test_one_projection_per_iteration_plus_one_per_undone_point(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    sol = solve(_diagonal_constrained_problem(6, seed=6))
+    assert sol.status == "optimal"
+    assert sol.anderson_accepted > 0
+    assert len(calls) == sol.iterations + sol.anderson_rejected
+
+
+def test_feasibility_form_projects_once_per_iteration(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    sol = solve(_rank_two_feasibility_problem(6, 12, seed=4))
+    assert sol.status == "feasible"
+    # measured before the loop projected only the point it moves to: any
+    # change to the plain (unaccelerated) path shows up here
+    assert sol.iterations == 52
+    assert len(calls) == sol.iterations
+
+
+def test_stall_test_never_samples_undone_points(monkeypatch):
+    # An infeasible SDP with an objective: acceleration is on, and the stall
+    # test ends the run.  Every other extrapolated point is moved far off,
+    # so the safeguard undoes each of them; the run must then reach the same
+    # verdict at the same iteration, with the same blocks, as the plain one.
+    from poslab.sdp import _Anderson
+
+    problem = SdpProblem(
+        (2,),
+        (
+            SdpConstraint((E11,), 1.0),
+            SdpConstraint((E22,), 1.0),
+            SdpConstraint((E12,), 2.0),
+        ),
+        (E22,),
+    )
+    monkeypatch.setattr(_Anderson, "extrapolate", lambda self, s, t: None)
+    plain = solve(problem)
+    made = []
+
+    def far_off(self, s, t):
+        made.append(1)
+        return t + 1e6 if len(made) % 2 else None
+
+    monkeypatch.setattr(_Anderson, "extrapolate", far_off)
+    undone = solve(problem)
+    assert plain.status == "infeasible-detected"
+    assert undone.anderson_accepted == 0
+    assert undone.anderson_rejected > 0
+    assert (undone.status, undone.iterations, undone.message) == (
+        plain.status, plain.iterations, plain.message
+    )
+    assert np.array_equal(undone.block_values[0], plain.block_values[0])
+
+
 def _per_block_projection(sizes, vec):
     """Reference PSD projection: one eigendecomposition per block."""
     out = []

@@ -243,6 +243,27 @@ def test_hierarchy_below_grid_oracle():
         assert res.lower_bound <= oracle.minimum_value + 1e-6
 
 
+def test_lasserre_long_flat_residual_is_not_a_stall():
+    # A random hierarchy case (n=2 on the box, level 4) whose SDP sits on a
+    # flat residual for longer than the stall window.  The solver that ran
+    # the stop and stall tests on the plain step of every iteration took
+    # 2,340 iterations here, 2,140 of them on a flat residual of about
+    # 7.5e-4, against stall_window = 2,000.  Only |u| staying flat
+    # keeps the stall test from reporting infeasible-detected, so a stall
+    # sample taken at an extrapolated point the safeguard later undoes could
+    # turn this feasible case into a false -inf.
+    f = P(
+        "-0.249*x1^2 + 0.436*x1*x2 - 0.336*x2^2 - 1.741*x1 - 0.439*x2 - 1.985", 2
+    )
+    res = lasserre_bound(f, box_system(2), 4)
+    assert res.status == "optimal"
+    assert res.is_finite
+    assert res.verification is not None and res.verification.passed
+    # the minimum, -4.314, sits at the corner (1, 1) and level 4 is exact
+    assert res.lower_bound <= -4.314 + 1e-7
+    assert res.lower_bound == pytest.approx(-4.314, abs=1e-6)
+
+
 def test_lasserre_iteration_cap_raises_solver_error():
     from poslab import SdpOptions, SolverError
 
