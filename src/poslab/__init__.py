@@ -50,9 +50,11 @@ from .errors import (
     SolverError,
 )
 from .poly import (
+    MonomialBasis,
     Polynomial,
     format_polynomial,
     lipschitz_bound,
+    monomial_basis,
     multinomial,
     parse_polynomial,
     product_norm_bound,
@@ -61,12 +63,11 @@ from .poly import (
     weighted_norm,
 )
 from .problemio import ProblemDocument, load_problem, problem_from_dict
-from .sdp import SdpConstraint, SdpOptions, SdpProblem, SdpSolution, solve
+from .sdp import SdpOptions, SdpProblem, SdpSolution, solve
 from .semialg import (
     GridSpec,
     MinimizationResult,
     SemialgebraicSystem,
-    archimedean_witness,
     contains,
     grid_min,
     rescale_system,
@@ -75,10 +76,9 @@ from .sos import (
     LasserreResult,
     MembershipProblem,
     MembershipResult,
-    MonomialBasis,
+    archimedean_witness,
     lasserre_bound,
     module_membership,
-    monomial_basis,
     preordering_membership,
     sos_decompose,
 )

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError, ParseError, RoundingError
-from .poly import Polynomial, format_polynomial, parse_polynomial, weighted_norm
+from .poly import (
+    MonomialBasis,
+    Polynomial,
+    format_polynomial,
+    parse_polynomial,
+    weighted_norm,
+)
 from .semialg import SemialgebraicSystem
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sos import MonomialBasis
 
 QUADRATIC_MODULE = "quadratic_module"
 PREORDERING = "preordering"
@@ -42,7 +44,7 @@ class CertificateEntry:
     """
 
     index: int | tuple[int, ...]
-    basis: "MonomialBasis"
+    basis: MonomialBasis
     gram: np.ndarray
 
     def __post_init__(self):
@@ -259,8 +261,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
-    from .sos import MonomialBasis  # deferred: sos builds on this module
-
     try:
         mode = data["mode"]
         n = int(data["n"])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -29,6 +30,8 @@ Monomial = tuple[int, ...]
 # Terms with |coefficient| <= DEFAULT_PRUNE_TOL are dropped after arithmetic,
 # keeping the sparse maps free of float dust.
 DEFAULT_PRUNE_TOL = 1e-14
+
+DEFAULT_BASIS_CAP = 2_000
 
 # Multinomial coefficients are computed in exact integer arithmetic up to this
 # total degree; beyond it the problem is out of desk scale.
@@ -61,8 +64,9 @@ def multinomial(alpha: Monomial) -> float:
 class Polynomial:
     """Immutable sparse polynomial over n >= 1 real variables.
 
-    Construct via the classmethods (``zero``, ``constant``, ``variable``,
-    ``from_terms``, ``parse``) or by arithmetic on existing polynomials.
+    Construct directly from a term map, via the classmethods (``zero``,
+    ``constant``, ``variable``), with ``parse_polynomial``, or by arithmetic
+    on existing polynomials.
     Stored coefficients are never zero; keys all have length ``dimension``.
     """
 
@@ -109,16 +113,6 @@ class Polynomial:
         alpha = [0] * dimension
         alpha[index] = 1
         return cls(dimension, {tuple(alpha): 1.0})
-
-    @classmethod
-    def from_terms(
-        cls, dimension: int, terms: Mapping[Monomial, float]
-    ) -> "Polynomial":
-        return cls(dimension, terms)
-
-    @classmethod
-    def parse(cls, text: str, dimension: int | None = None) -> "Polynomial":
-        return parse_polynomial(text, dimension)
 
     # ------------------------------------------------------------------
     # inspection
@@ -256,6 +250,54 @@ def _pruned(
     terms: dict[Monomial, float], tol: float = DEFAULT_PRUNE_TOL
 ) -> dict[Monomial, float]:
     return {a: c for a, c in terms.items() if abs(c) > tol}
+
+
+# ----------------------------------------------------------------------
+# monomial bases
+
+
+@dataclass(frozen=True)
+class MonomialBasis:
+    """All monomials of total degree <= max_degree, graded lex ordered."""
+
+    dimension: int
+    max_degree: int
+    monomials: tuple[Monomial, ...]
+
+    def __len__(self) -> int:
+        return len(self.monomials)
+
+
+def _degree_compositions(total: int, parts: int):
+    """All exponent vectors of given total degree (lexicographic descending
+    in the first coordinate, matching graded lex with x1 > x2 > ...)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for tail in _degree_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def monomial_basis(
+    dimension: int, max_degree: int, cap: int = DEFAULT_BASIS_CAP
+) -> MonomialBasis:
+    """Graded-lex basis of the polynomials of degree <= max_degree."""
+    if dimension < 1:
+        raise InputError(f"dimension must be >= 1, got {dimension}")
+    if max_degree < 0:
+        raise InputError(f"max_degree must be >= 0, got {max_degree}")
+    size = math.comb(dimension + max_degree, dimension)
+    if size > cap:
+        raise CapacityError(
+            f"monomial basis of size {size} exceeds the cap {cap} "
+            f"(n={dimension}, d={max_degree})"
+        )
+    monos: list[Monomial] = []
+    for d in range(max_degree + 1):
+        monos.extend(_degree_compositions(d, dimension))
+    monos.sort(key=grlex_key)
+    return MonomialBasis(dimension=dimension, max_degree=max_degree, monomials=tuple(monos))
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,16 @@ objective entering the affine step as a constant drift.  Simple,
 dependency-free, deterministic, and adequate for Gram matrices of side up to
 a few tens.
 
+Input format
+------------
+An ``SdpProblem`` gives A, b and C in svec coordinates, the only form the
+solver uses.  The svec vector of the blocks (Q_1, ..., Q_blocks) is the
+concatenation, in block order, of each block's upper triangle read row by
+row, with the off-diagonal entries scaled by sqrt(2), so that
+<A, Q>_F = svec(A) . svec(Q) for symmetric A and Q.  A is a dense
+(m, svec length) array with one row per equality; symmetry of the A_ij is
+built into the format, so there is nothing to check.
+
 How an iteration runs
 ---------------------
 Blocks live in one stacked svec vector.  The cone projection gathers all
@@ -92,25 +102,42 @@ DEFAULT_MAX_TOTAL_DIM = 400
 SDP_DIM_ENV_VAR = "POSLAB_MAX_SDP_DIM"
 ANDERSON_MEMORY = 8
 ANDERSON_REGULARIZATION = 1e-10  # relative Tikhonov weight of the least-squares fit
-_PACK_CHUNK = 32  # matrices per symmetry check in _BlockLayout.pack
-
-
-@dataclass(frozen=True)
-class SdpConstraint:
-    """One linear equality: sum over blocks of <matrices[j], Q_j> = rhs.
-
-    ``matrices[j]`` may be None when block j does not appear.
-    """
-
-    matrices: tuple[np.ndarray | None, ...]
-    rhs: float
 
 
 @dataclass(frozen=True)
 class SdpProblem:
+    """The block SDP in svec coordinates, the solver's one input format.
+
+    A svec vector concatenates the blocks in order, each block's upper
+    triangle row by row with off-diagonal entries scaled by sqrt(2).
+    ``constraints`` is the (m, svec length) matrix A whose row i is the svec
+    vector of (A_i1, ..., A_i,blocks); ``rhs`` is the m-vector b;
+    ``objective`` is the svec vector of (C_1, ..., C_blocks), or None for a
+    feasibility problem."""
+
     block_sizes: tuple[int, ...]
-    constraints: tuple[SdpConstraint, ...]
-    objective: tuple[np.ndarray | None, ...] | None = None
+    constraints: np.ndarray
+    rhs: np.ndarray
+    objective: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = sum(s * (s + 1) // 2 for s in self.block_sizes)
+        a = np.asarray(self.constraints, dtype=float)
+        b = np.asarray(self.rhs, dtype=float)
+        if a.ndim != 2 or a.shape[1] != n:
+            raise InputError(
+                f"constraints have shape {a.shape}, expected (m, {n}) for "
+                f"blocks {self.block_sizes}"
+            )
+        if b.shape != (a.shape[0],):
+            raise InputError(f"rhs has shape {b.shape}, expected ({a.shape[0]},)")
+        object.__setattr__(self, "constraints", a)
+        object.__setattr__(self, "rhs", b)
+        if self.objective is not None:
+            c = np.asarray(self.objective, dtype=float)
+            if c.shape != (n,):
+                raise InputError(f"objective has shape {c.shape}, expected ({n},)")
+            object.__setattr__(self, "objective", c)
 
     @property
     def total_dim(self) -> int:
@@ -181,9 +208,7 @@ class SdpSolution:
 
 
 # ----------------------------------------------------------------------
-# symmetric vectorization: <A, B>_F == svec(A) . svec(B), with the upper
-# triangle of each block stored row by row and off-diagonal entries scaled
-# by sqrt(2)
+# block layout
 
 
 @dataclass(frozen=True)
@@ -234,39 +259,6 @@ class _BlockLayout:
 
     def _stack(self, vec: np.ndarray, cls: _SizeClass) -> np.ndarray:
         return vec[cls.gather] / cls.unscale
-
-    def pack(self, rows) -> np.ndarray:
-        """svec each row's block matrices (a tuple, None for an absent block)
-        into one row of the returned ``(len(rows), total)`` array."""
-        out = np.zeros((len(rows), self.total))
-        for row in rows:
-            if len(row) > len(self.sizes):
-                raise InputError(
-                    f"{len(row)} block matrices given for {len(self.sizes)} blocks"
-                )
-        for cls in self.classes:
-            s = cls.size
-            for seg, j in zip(cls.segments, cls.blocks):
-                ids = [i for i, row in enumerate(rows) if j < len(row) and row[j] is not None]
-                # a bounded number of matrices at a time keeps the temporaries
-                # small next to ``out``
-                for lo in range(0, len(ids), _PACK_CHUNK):
-                    chunk = ids[lo : lo + _PACK_CHUNK]
-                    mats = [np.asarray(rows[i][j], dtype=float) for i in chunk]
-                    for arr in mats:
-                        if arr.shape != (s, s):
-                            raise InputError(
-                                f"block {j} matrix has shape {arr.shape}, expected {(s, s)}"
-                            )
-                    stack = np.stack(mats)
-                    flat = stack.reshape(len(chunk), s * s)
-                    upper = flat[:, cls.upper]
-                    if not np.array_equal(upper, flat[:, cls.lower]) and not np.isclose(
-                        stack, stack.transpose(0, 2, 1), atol=1e-12
-                    ).all():
-                        raise InputError(f"block {j} matrix is not symmetric")
-                    out[np.array(chunk)[:, None], seg] = upper * cls.scale
-        return out
 
     def unpack(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
         mats: list[np.ndarray | None] = [None] * len(self.sizes)
@@ -352,14 +344,10 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     n = layout.total
     m = len(problem.constraints)
 
-    a_mat = layout.pack([con.matrices for con in problem.constraints])
-    b = np.array([float(con.rhs) for con in problem.constraints], dtype=float)
-
-    c_vec = np.zeros(n)
-    has_objective = False
-    if problem.objective is not None:
-        c_vec = layout.pack([problem.objective])[0]
-        has_objective = bool(np.any(c_vec))
+    a_mat = problem.constraints
+    b = problem.rhs
+    c_vec = np.zeros(n) if problem.objective is None else problem.objective
+    has_objective = bool(np.any(c_vec))
 
     # Row scaling; a zero row with nonzero rhs is an immediate contradiction.
     row_scale = np.linalg.norm(a_mat, axis=1) if m else np.zeros(0)

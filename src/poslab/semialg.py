@@ -241,30 +241,3 @@ def ball_gap_polynomial(dimension: int, bound: float) -> Polynomial:
         terms[tuple(alpha)] = -1.0
     return Polynomial(dimension, terms)
 
-
-def archimedean_witness(system: SemialgebraicSystem, bound: float, level: int):
-    """Search for a level-`level` quadratic-module certificate of
-    bound - ||x||^2 >= 0, witnessing that the module is archimedean.
-
-    This is the SDP-checkable normal form of the archimedean property.
-    Equivalent characterizations exist but are not searched here: membership
-    of some polynomial p with {p >= 0} compact, containment of the
-    preordering of a tuple with compact feasible set, and the property that
-    every polynomial is bounded above within the module.
-
-    A not-found outcome is inconclusive: the witness may exist at a higher
-    level.  Returns the MembershipResult of the underlying search.
-    """
-    if bound <= 0:
-        raise InputError(f"bound must be positive, got {bound}")
-    if level < 2 or level % 2 != 0:
-        raise InputError(f"level must be an even integer >= 2, got {level}")
-    from . import sos  # deferred: sos builds on this module
-
-    problem = sos.MembershipProblem(
-        target=ball_gap_polynomial(system.dimension, bound),
-        system=system,
-        level=level,
-        mode=sos.QUADRATIC_MODULE,
-    )
-    return sos.module_membership(problem)

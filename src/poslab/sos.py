@@ -21,7 +21,6 @@ disproves membership in the untruncated cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -38,55 +37,10 @@ from .certificate import (
     verify,
 )
 from .errors import CapacityError, DimensionMismatchError, InputError, SolverError
-from .poly import Monomial, Polynomial, grlex_key
-from .semialg import SemialgebraicSystem
+from .poly import MonomialBasis, Polynomial, monomial_basis
+from .semialg import SemialgebraicSystem, ball_gap_polynomial
 
-DEFAULT_BASIS_CAP = 2_000
 MAX_PREORDERING_CONSTRAINTS = 12
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """All monomials of total degree <= max_degree, graded lex ordered."""
-
-    dimension: int
-    max_degree: int
-    monomials: tuple[Monomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-
-def _degree_compositions(total: int, parts: int):
-    """All exponent vectors of given total degree (lexicographic descending
-    in the first coordinate, matching graded lex with x1 > x2 > ...)."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _degree_compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def monomial_basis(
-    dimension: int, max_degree: int, cap: int = DEFAULT_BASIS_CAP
-) -> MonomialBasis:
-    """Graded-lex basis of the polynomials of degree <= max_degree."""
-    if dimension < 1:
-        raise InputError(f"dimension must be >= 1, got {dimension}")
-    if max_degree < 0:
-        raise InputError(f"max_degree must be >= 0, got {max_degree}")
-    size = comb(dimension + max_degree, dimension)
-    if size > cap:
-        raise CapacityError(
-            f"monomial basis of size {size} exceeds the cap {cap} "
-            f"(n={dimension}, d={max_degree})"
-        )
-    monos: list[Monomial] = []
-    for d in range(max_degree + 1):
-        monos.extend(_degree_compositions(d, dimension))
-    monos.sort(key=grlex_key)
-    return MonomialBasis(dimension=dimension, max_degree=max_degree, monomials=tuple(monos))
 
 
 @dataclass(frozen=True)
@@ -197,56 +151,41 @@ def _compile(
     blocks: list[_Block],
     bound_scalar: bool,
 ) -> sdp.SdpProblem:
-    """Coefficient-matching constraints over the degree-<=level monomials."""
+    """Coefficient-matching constraints over the degree-<=level monomials,
+    written straight into the svec columns of the constraint matrix.
+
+    Gram entry (r, s) of a block meets row gamma through the one generator
+    term alpha with z_r z_s x^alpha = x^gamma, so each matrix entry is one
+    generator coefficient, times sqrt(2) off the diagonal."""
     n = system.dimension
     index_monos = monomial_basis(n, level).monomials
     row_of = {alpha: i for i, alpha in enumerate(index_monos)}
-    nb = len(blocks)
     block_sizes = tuple(len(b.basis) for b in blocks) + ((1, 1) if bound_scalar else ())
+    constraints = np.zeros((len(index_monos), sum(s * (s + 1) // 2 for s in block_sizes)))
+    root2 = np.sqrt(2.0)
 
-    per_row: list[dict[int, np.ndarray]] = [{} for _ in index_monos]
-    for j, block in enumerate(blocks):
+    col = 0
+    for block in blocks:
         monos = block.basis.monomials
-        size = len(monos)
         gen_terms = list(block.generator.terms())
-        for r in range(size):
-            for s in range(size):
+        for r in range(len(monos)):
+            for s in range(r, len(monos)):
                 base = tuple(a + b for a, b in zip(monos[r], monos[s]))
+                weight = 1.0 if r == s else root2
                 for alpha, coef in gen_terms:
                     gamma = tuple(a + b for a, b in zip(base, alpha))
-                    row = row_of[gamma]
-                    mat = per_row[row].get(j)
-                    if mat is None:
-                        mat = np.zeros((size, size))
-                        per_row[row][j] = mat
-                    mat[r, s] += coef
+                    constraints[row_of[gamma], col] = coef * weight
+                col += 1
 
-    one = np.array([[1.0]])
-    constraints = []
-    nb_total = nb + (2 if bound_scalar else 0)
-    for row, alpha in enumerate(index_monos):
-        mats: list[np.ndarray | None] = [None] * nb_total
-        for j, mat in per_row[row].items():
-            mats[j] = mat
-        if bound_scalar and sum(alpha) == 0:
-            mats[nb] = one
-            mats[nb + 1] = -one
-        constraints.append(
-            sdp.SdpConstraint(tuple(mats), target.coefficient(alpha))
-        )
-
+    rhs = np.array([target.coefficient(alpha) for alpha in index_monos])
     objective = None
     if bound_scalar:
-        obj: list[np.ndarray | None] = [None] * nb_total
-        obj[nb] = -one  # maximize a = a_plus - a_minus
-        obj[nb + 1] = one
-        objective = tuple(obj)
+        # a = a_plus - a_minus enters the constant row; maximize a
+        constraints[row_of[(0,) * n], col : col + 2] = (1.0, -1.0)
+        objective = np.zeros(constraints.shape[1])
+        objective[col : col + 2] = (-1.0, 1.0)
 
-    return sdp.SdpProblem(
-        block_sizes=block_sizes,
-        constraints=tuple(constraints),
-        objective=objective,
-    )
+    return sdp.SdpProblem(block_sizes, constraints, rhs, objective)
 
 
 def _certificate_from_blocks(
@@ -389,6 +328,34 @@ def sos_decompose(
         mode=QUADRATIC_MODULE,
     )
     return module_membership(problem, residual_tol, psd_tol, options)
+
+
+def archimedean_witness(
+    system: SemialgebraicSystem, bound: float, level: int
+) -> MembershipResult:
+    """Search for a level-`level` quadratic-module certificate of
+    bound - ||x||^2 >= 0, witnessing that the module is archimedean.
+
+    This is the SDP-checkable normal form of the archimedean property.
+    Equivalent characterizations exist but are not searched here: membership
+    of some polynomial p with {p >= 0} compact, containment of the
+    preordering of a tuple with compact feasible set, and the property that
+    every polynomial is bounded above within the module.
+
+    A not-found outcome is inconclusive: the witness may exist at a higher
+    level.  Returns the MembershipResult of the underlying search.
+    """
+    if bound <= 0:
+        raise InputError(f"bound must be positive, got {bound}")
+    if level < 2 or level % 2 != 0:
+        raise InputError(f"level must be an even integer >= 2, got {level}")
+    problem = MembershipProblem(
+        target=ball_gap_polynomial(system.dimension, bound),
+        system=system,
+        level=level,
+        mode=QUADRATIC_MODULE,
+    )
+    return module_membership(problem)
 
 
 def lasserre_bound(

@@ -3,8 +3,34 @@
 import numpy as np
 import pytest
 
-from poslab import CapacityError, SdpConstraint, SdpOptions, SdpProblem, solve
+from poslab import CapacityError, InputError, SdpOptions, SdpProblem, solve
 from poslab.sdp import SDP_DIM_ENV_VAR
+
+
+def _svec(mats, sizes):
+    """svec of a tuple of block matrices (None, or missing at the end, for
+    a zero block): upper triangles row by row, off-diagonal times sqrt(2)."""
+    parts = []
+    for j, size in enumerate(sizes):
+        rows, cols = np.triu_indices(size)
+        mat = mats[j] if j < len(mats) else None
+        if mat is None:
+            parts.append(np.zeros(rows.size))
+        else:
+            weight = np.where(rows != cols, np.sqrt(2.0), 1.0)
+            parts.append(np.asarray(mat, dtype=float)[rows, cols] * weight)
+    return np.concatenate(parts)
+
+
+def _problem(sizes, rows, objective=None):
+    """SdpProblem from (block matrices, rhs) rows and block objective matrices."""
+    width = sum(s * (s + 1) // 2 for s in sizes)
+    constraints = np.array([_svec(mats, sizes) for mats, _ in rows]).reshape(len(rows), width)
+    rhs = np.array([rhs for _, rhs in rows], dtype=float)
+    return SdpProblem(
+        sizes, constraints, rhs, None if objective is None else _svec(objective, sizes)
+    )
+
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
 E22 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -12,9 +38,9 @@ E12 = np.array([[0.0, 0.5], [0.5, 0.0]])
 
 
 def test_fully_constrained_trace_min():
-    problem = SdpProblem(
+    problem = _problem(
         (1,),
-        (SdpConstraint((np.array([[1.0]]),), 1.0),),
+        (((np.array([[1.0]]),), 1.0),),
         (np.array([[1.0]]),),
     )
     sol = solve(problem)
@@ -24,12 +50,12 @@ def test_fully_constrained_trace_min():
 
 
 def test_psd_2x2_determinant_infeasible():
-    problem = SdpProblem(
+    problem = _problem(
         (2,),
         (
-            SdpConstraint((E11,), 1.0),
-            SdpConstraint((E22,), 1.0),
-            SdpConstraint((E12,), 2.0),
+            ((E11,), 1.0),
+            ((E22,), 1.0),
+            ((E12,), 2.0),
         ),
     )
     sol = solve(problem)
@@ -37,9 +63,9 @@ def test_psd_2x2_determinant_infeasible():
 
 
 def test_min_corner_entry_rank_one_optimum():
-    problem = SdpProblem(
+    problem = _problem(
         (2,),
-        (SdpConstraint((E11,), 1.0), SdpConstraint((E12,), 1.0)),
+        (((E11,), 1.0), ((E12,), 1.0)),
         (E22,),
     )
     sol = solve(problem)
@@ -49,11 +75,11 @@ def test_min_corner_entry_rank_one_optimum():
 
 
 def test_solution_meets_residual_contract():
-    problem = SdpProblem(
+    problem = _problem(
         (2, 1),
         (
-            SdpConstraint((E11, None), 1.0),
-            SdpConstraint((E12, np.array([[1.0]])), 0.75),
+            ((E11, None), 1.0),
+            ((E12, np.array([[1.0]])), 0.75),
         ),
         (E22, None),
     )
@@ -74,8 +100,8 @@ def test_trace_constrained_matches_min_eigenvalue():
         c = 0.5 * (c + c.T)
         # make it diagonally dominant so the instance is well conditioned
         c = c + np.diag(np.abs(c).sum(axis=1))
-        problem = SdpProblem(
-            (k,), (SdpConstraint((np.eye(k),), 1.0),), (c,)
+        problem = _problem(
+            (k,), (((np.eye(k),), 1.0),), (c,)
         )
         sol = solve(problem)
         assert sol.ok
@@ -84,9 +110,9 @@ def test_trace_constrained_matches_min_eigenvalue():
 
 
 def test_feasibility_status_label():
-    problem = SdpProblem(
+    problem = _problem(
         (2,),
-        (SdpConstraint((E11,), 1.0), SdpConstraint((E12,), 0.5)),
+        (((E11,), 1.0), ((E12,), 0.5)),
     )
     sol = solve(problem)
     assert sol.status == "feasible"
@@ -95,16 +121,16 @@ def test_feasibility_status_label():
 
 def test_zero_row_contradiction_detected_immediately():
     zero = np.zeros((2, 2))
-    problem = SdpProblem((2,), (SdpConstraint((zero,), 1.0),))
+    problem = _problem((2,), (((zero,), 1.0),))
     sol = solve(problem)
     assert sol.status == "infeasible-detected"
     assert sol.iterations == 0
 
 
 def test_bitwise_determinism():
-    problem = SdpProblem(
+    problem = _problem(
         (2,),
-        (SdpConstraint((E11,), 1.0), SdpConstraint((E12,), 1.0)),
+        (((E11,), 1.0), ((E12,), 1.0)),
         (E22,),
     )
     a = solve(problem)
@@ -117,14 +143,14 @@ def test_bitwise_determinism():
 
 
 def test_dimension_cap():
-    problem = SdpProblem((401,), ())
+    problem = _problem((401,), ())
     with pytest.raises(CapacityError):
         solve(problem)
     assert solve(problem, SdpOptions(max_total_dim=500)).ok
 
 
 def test_dimension_cap_env_override(monkeypatch):
-    problem = SdpProblem((401,), ())
+    problem = _problem((401,), ())
     monkeypatch.setenv(SDP_DIM_ENV_VAR, "450")
     assert solve(problem).ok
     monkeypatch.setenv(SDP_DIM_ENV_VAR, "100")
@@ -132,13 +158,21 @@ def test_dimension_cap_env_override(monkeypatch):
         solve(problem)
 
 
-def test_rejects_asymmetric_matrices():
-    from poslab import InputError
-
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    problem = SdpProblem((2,), (SdpConstraint((bad,), 0.0),))
-    with pytest.raises(InputError):
-        solve(problem)
+def test_problem_rejects_misshapen_arrays():
+    # blocks (2, 1): svec length 3 + 1 = 4
+    good = np.zeros((2, 4))
+    SdpProblem((2, 1), good, np.zeros(2), np.zeros(4))
+    for constraints, rhs, objective in (
+        (np.zeros((2, 3)), np.zeros(2), None),   # a column short
+        (np.zeros((2, 5)), np.zeros(2), None),   # a column over
+        (np.zeros(4), np.zeros(1), None),        # one row, not a matrix
+        (good, np.zeros(3), None),               # rhs longer than m
+        (good, np.zeros((2, 1)), None),          # rhs not a vector
+        (good, np.zeros(2), np.zeros(3)),        # objective a column short
+        (good, np.zeros(2), np.zeros((1, 4))),   # objective not a vector
+    ):
+        with pytest.raises(InputError):
+            SdpProblem((2, 1), constraints, rhs, objective)
 
 
 def _diagonal_constrained_problem(k: int, seed: int) -> SdpProblem:
@@ -150,8 +184,8 @@ def _diagonal_constrained_problem(k: int, seed: int) -> SdpProblem:
     for i in range(k):
         e = np.zeros((k, k))
         e[i, i] = 1.0
-        constraints.append(SdpConstraint((e,), 1.0))
-    return SdpProblem((k,), tuple(constraints), (c,))
+        constraints.append(((e,), 1.0))
+    return _problem((k,), tuple(constraints), (c,))
 
 
 def test_acceleration_iteration_guard():
@@ -174,11 +208,11 @@ def test_anderson_counters_on_optimization_form():
 
 
 def test_anderson_counters_zero_on_feasibility_form():
-    problem = SdpProblem(
+    problem = _problem(
         (3, 1),
         (
-            SdpConstraint((np.eye(3), None), 2.0),
-            SdpConstraint((np.diag([1.0, -1.0, 0.0]), np.array([[1.0]])), 0.5),
+            ((np.eye(3), None), 2.0),
+            ((np.diag([1.0, -1.0, 0.0]), np.array([[1.0]])), 0.5),
         ),
     )
     sol = solve(problem)
@@ -211,8 +245,8 @@ def _rank_two_feasibility_problem(k: int, m: int, seed: int) -> SdpProblem:
     for _ in range(m):
         a = rng.normal(size=(k, k))
         a = 0.5 * (a + a.T)
-        constraints.append(SdpConstraint((a,), float(np.sum(a * x0))))
-    return SdpProblem((k,), tuple(constraints))
+        constraints.append(((a,), float(np.sum(a * x0))))
+    return _problem((k,), tuple(constraints))
 
 
 def test_one_projection_per_iteration_plus_one_per_undone_point(monkeypatch):
@@ -240,12 +274,12 @@ def test_stall_test_never_samples_undone_points(monkeypatch):
     # verdict at the same iteration, with the same blocks, as the plain one.
     from poslab.sdp import _Anderson
 
-    problem = SdpProblem(
+    problem = _problem(
         (2,),
         (
-            SdpConstraint((E11,), 1.0),
-            SdpConstraint((E22,), 1.0),
-            SdpConstraint((E12,), 2.0),
+            ((E11,), 1.0),
+            ((E22,), 1.0),
+            ((E12,), 2.0),
         ),
         (E22,),
     )

@@ -5,7 +5,10 @@ import pytest
 
 from conftest import box_system, random_positive_degree_polynomial
 from poslab import (
+    QUADRATIC_MODULE,
     CapacityError,
+    Certificate,
+    CertificateEntry,
     GridSpec,
     InputError,
     MembershipProblem,
@@ -17,6 +20,7 @@ from poslab import (
     monomial_basis,
     parse_polynomial,
     preordering_membership,
+    reconstruct,
     sos_decompose,
     verify,
 )
@@ -60,6 +64,60 @@ def test_basis_graded_lex_strictly_increasing():
 def test_basis_capacity_cap():
     with pytest.raises(CapacityError):
         monomial_basis(6, 12)  # binom(18,6) = 18564 > 2000
+
+
+# ----------------------------------------------------------------------
+# compilation
+
+
+@pytest.mark.parametrize(
+    "mode, bound_scalar",
+    [(QUADRATIC_MODULE, False), (QUADRATIC_MODULE, True), (PREORDERING, False)],
+)
+def test_compiled_rows_match_reconstructed_coefficients(mode, bound_scalar):
+    # The constraint matrix is written in svec coordinates, the certificate
+    # module expands Gram matrices in sparse arithmetic: both must agree on
+    # the coefficients of sum_i sigma_i g_i for any point of the svec space.
+    from poslab.sdp import _BlockLayout
+    from poslab.sos import _compile, _generator_blocks
+
+    system = SemialgebraicSystem(
+        2, (P("1 - x1^2 - 0.5*x2^2 + 0.3*x1*x2"), P("x1 + 0.25*x2^3 - 0.7", 2))
+    )
+    level = 6
+    target = P("x1^3*x2 - 2*x2^2 + 0.5", 2)
+    blocks = _generator_blocks(system, level, mode)
+    problem = _compile(target, system, level, blocks, bound_scalar)
+    layout = _BlockLayout(problem.block_sizes)
+    assert max(b.generator.degree for b in blocks) >= 2
+    assert problem.constraints.shape == (28, layout.total)  # C(2 + 6, 2) rows
+
+    rows = monomial_basis(2, level).monomials
+    assert np.array_equal(problem.rhs, [target.coefficient(alpha) for alpha in rows])
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        v = rng.normal(size=layout.total)
+        grams = layout.unpack(v)
+        cert = Certificate(
+            mode,
+            system,
+            tuple(
+                CertificateEntry(block.label, block.basis, grams[j])
+                for j, block in enumerate(blocks)
+            ),
+        )
+        poly = reconstruct(cert)
+        expected = np.array([poly.coefficient(alpha) for alpha in rows])
+        if bound_scalar:
+            # the scalar a = a_plus - a_minus sits in the constant row
+            expected[0] += grams[-2][0, 0] - grams[-1][0, 0]
+        assert np.max(np.abs(problem.constraints @ v - expected)) <= 1e-12
+    if bound_scalar:
+        c = np.zeros(layout.total)
+        c[-2:] = (-1.0, 1.0)  # maximize a = a_plus - a_minus
+        assert np.array_equal(problem.objective, c)
+    else:
+        assert problem.objective is None
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +320,14 @@ def test_lasserre_long_flat_residual_is_not_a_stall():
     # the minimum, -4.314, sits at the corner (1, 1) and level 4 is exact
     assert res.lower_bound <= -4.314 + 1e-7
     assert res.lower_bound == pytest.approx(-4.314, abs=1e-6)
+    # the solver's exact path: any change to the compiled arithmetic or to
+    # the solver's summation order moves these
+    assert res.lower_bound == -4.3140000005085755
+    assert (
+        res.solver["iterations"],
+        res.solver["anderson_accepted"],
+        res.solver["anderson_rejected"],
+    ) == (2342, 281, 228)
 
 
 def test_lasserre_iteration_cap_raises_solver_error():
