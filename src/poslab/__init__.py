@@ -63,7 +63,7 @@ from .poly import (
     weighted_norm,
 )
 from .problemio import ProblemDocument, load_problem, problem_from_dict
-from .sdp import SdpOptions, SdpProblem, SdpSolution, solve
+from .sdp import SdpProblem, SdpSolution, solve
 from .semialg import (
     GridSpec,
     MinimizationResult,

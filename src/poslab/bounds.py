@@ -46,6 +46,8 @@ from .semialg import (
 EXP_SATURATION = 700.0  # exp argument beyond which float64 overflows
 LIFT_DEGREE_CAP = 60
 LIFT_TERM_CAP = 200_000
+ENVELOPE_BINS = 12  # log-distance bins of the Lojasiewicz lower envelope
+CONTAINMENT_MARGIN = 1e-9  # how far inside the unit box a rounded cube needs S
 
 
 @dataclass(frozen=True)
@@ -178,12 +180,7 @@ class LiftingParameters:
 
 
 def lifting_transform(
-    f: Polynomial,
-    system: SemialgebraicSystem,
-    lam: float,
-    k: int,
-    degree_cap: int = LIFT_DEGREE_CAP,
-    term_cap: int = LIFT_TERM_CAP,
+    f: Polynomial, system: SemialgebraicSystem, lam: float, k: int
 ) -> Polynomial:
     """h = f - lam * sum_i (g_i - 1)^(2k) g_i, expanded exactly."""
     if lam < 0:
@@ -198,17 +195,17 @@ def lifting_transform(
     worst = max(
         ((2 * k + 1) * g.degree for g in system.constraints), default=0
     )
-    if max(worst, f.degree) > degree_cap:
+    if max(worst, f.degree) > LIFT_DEGREE_CAP:
         raise CapacityError(
             f"lifted polynomial would have degree {max(worst, f.degree)} "
-            f"> cap {degree_cap}"
+            f"> cap {LIFT_DEGREE_CAP}"
         )
     one = Polynomial.constant(f.dimension, 1.0)
     for g in system.constraints:
         term = (g - one).power(2 * k) * g
         h = h - term.scale(lam)
-        if len(h) > term_cap:
-            raise CapacityError(f"lifted polynomial exceeds {term_cap} terms")
+        if len(h) > LIFT_TERM_CAP:
+            raise CapacityError(f"lifted polynomial exceeds {LIFT_TERM_CAP} terms")
     return h
 
 
@@ -330,7 +327,6 @@ def lojasiewicz_estimate(
     samples: int = 2000,
     seed: int = 42,
     feasibility_tol: float = DEFAULT_FEASIBILITY_TOL,
-    envelope_bins: int = 12,
 ) -> LojasiewiczFit:
     """Estimate the exponent relating constraint violation to distance.
 
@@ -397,11 +393,11 @@ def lojasiewicz_estimate(
 
     log_d = np.log(dist)
     log_v = np.log(violation)
-    edges = np.linspace(log_d.min(), log_d.max(), envelope_bins + 1)
+    edges = np.linspace(log_d.min(), log_d.max(), ENVELOPE_BINS + 1)
     env_d: list[float] = []
     env_v: list[float] = []
-    for bi in range(envelope_bins):
-        if bi < envelope_bins - 1:
+    for bi in range(ENVELOPE_BINS):
+        if bi < ENVELOPE_BINS - 1:
             in_bin = (log_d >= edges[bi]) & (log_d < edges[bi + 1])
         else:
             in_bin = (log_d >= edges[bi]) & (log_d <= edges[bi + 1])
@@ -456,13 +452,12 @@ def round_hypercube_degree(
     grid: GridSpec | None = None,
     d_max: int = 30,
     feasibility_tol: float = DEFAULT_FEASIBILITY_TOL,
-    containment_margin: float = 1e-9,
 ) -> RoundedCube | None:
     """Smallest d <= d_max with 1 - 1/d - sum x_i^(2d) > 0 at every feasible
     grid point; None when none works.
 
     Requires the feasible grid points to lie strictly inside the open unit
-    box (checked with ``containment_margin``).
+    box (checked with ``CONTAINMENT_MARGIN``).
     """
     spec = grid or GridSpec.default_for(system.dimension)
     box = spec.resolved_box(system.dimension)
@@ -474,7 +469,7 @@ def round_hypercube_degree(
         )
     feas = pts[mask]
     worst = float(np.max(np.abs(feas)))
-    if worst > 1.0 - containment_margin:
+    if worst > 1.0 - CONTAINMENT_MARGIN:
         raise InputError(
             f"feasible grid point with |x_i| = {worst} is not strictly "
             "inside the open unit box; rescale the system first"

@@ -35,6 +35,30 @@ DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_PSD_TOL = 1e-8
 
 
+def generator_polynomial(
+    system: SemialgebraicSystem, mode: str, index: int | tuple[int, ...]
+) -> Polynomial:
+    """The generator with this index: 1 for index 0 and g_i for index i in
+    the quadratic module; in the preordering, the product g^delta of the
+    constraints g_j with delta_j = 1, multiplied left to right."""
+    m = system.num_constraints
+    if mode == QUADRATIC_MODULE:
+        if not isinstance(index, int) or not 0 <= index <= m:
+            raise InputError(f"generator index {index!r} out of range for m={m}")
+        if index == 0:
+            return Polynomial.constant(system.dimension, 1.0)
+        return system.constraints[index - 1]
+    if not isinstance(index, tuple) or len(index) != m:
+        raise InputError(f"delta {index!r} must be a 0/1 tuple of length {m}")
+    if any(d not in (0, 1) for d in index):
+        raise InputError(f"delta {index!r} must be a 0/1 tuple")
+    prod = Polynomial.constant(system.dimension, 1.0)
+    for d, g in zip(index, system.constraints):
+        if d:
+            prod = prod * g
+    return prod
+
+
 @dataclass(frozen=True)
 class CertificateEntry:
     """One summand sigma * generator.
@@ -93,25 +117,7 @@ class Certificate:
 
     def generator(self, entry: CertificateEntry) -> Polynomial:
         """The generator polynomial this entry multiplies."""
-        m = self.system.num_constraints
-        if self.mode == QUADRATIC_MODULE:
-            if not isinstance(entry.index, int) or not 0 <= entry.index <= m:
-                raise InputError(
-                    f"generator index {entry.index!r} out of range for m={m}"
-                )
-            if entry.index == 0:
-                return Polynomial.constant(self.system.dimension, 1.0)
-            return self.system.constraints[entry.index - 1]
-        delta = entry.index
-        if not isinstance(delta, tuple) or len(delta) != m:
-            raise InputError(f"delta {delta!r} must be a 0/1 tuple of length {m}")
-        if any(d not in (0, 1) for d in delta):
-            raise InputError(f"delta {delta!r} must be a 0/1 tuple")
-        prod = Polynomial.constant(self.system.dimension, 1.0)
-        for d, g in zip(delta, self.system.constraints):
-            if d:
-                prod = prod * g
-        return prod
+        return generator_polynomial(self.system, self.mode, entry.index)
 
     @property
     def level(self) -> int:
@@ -150,12 +156,11 @@ def verify(
     cert: Certificate,
     f: Polynomial,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
 ) -> VerificationReport:
     """Residual in the weighted norm plus the worst Gram eigenvalue.
 
     Always returns a report; ``passed`` is residual <= residual_tol and
-    min eigenvalue >= -psd_tol.
+    min eigenvalue >= -DEFAULT_PSD_TOL.
     """
     if f.dimension != cert.system.dimension:
         raise InputError(
@@ -170,7 +175,7 @@ def verify(
         residual_norm=residual,
         min_gram_eigenvalue=min_eig,
         level=cert.level,
-        passed=(residual <= residual_tol and min_eig >= -psd_tol),
+        passed=(residual <= residual_tol and min_eig >= -DEFAULT_PSD_TOL),
     )
 
 
@@ -195,9 +200,7 @@ def round_psd(gram: np.ndarray, clip: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def extract_squares(
-    cert: Certificate, clip: float = DEFAULT_PSD_TOL
-) -> list[tuple[Polynomial, list[Polynomial]]]:
+def extract_squares(cert: Certificate) -> list[tuple[Polynomial, list[Polynomial]]]:
     """Factor each sigma_i into an explicit sum of squares.
 
     Each Gram matrix is repaired by ``round_psd`` and eigendecomposed as
@@ -206,7 +209,7 @@ def extract_squares(
     """
     out: list[tuple[Polynomial, list[Polynomial]]] = []
     for entry in cert.entries:
-        gram = round_psd(entry.gram, clip)
+        gram = round_psd(entry.gram, DEFAULT_PSD_TOL)
         w, v = np.linalg.eigh(gram)
         squares: list[Polynomial] = []
         n = entry.basis.dimension

@@ -71,6 +71,13 @@ def _json_float(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _level(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"level {token!r} is not an integer") from None
+
+
 def _parse_levels(spec: str) -> list[int]:
     """Accept '2,4,6' or 'start:stop[:step]' (inclusive stop, default step 2)."""
     spec = spec.strip()
@@ -80,12 +87,12 @@ def _parse_levels(spec: str) -> list[int]:
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise InputError(f"bad level range {spec!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 2
+        start, stop = _level(parts[0]), _level(parts[1])
+        step = _level(parts[2]) if len(parts) == 3 else 2
         if step <= 0:
             raise InputError("level range step must be positive")
         return list(range(start, stop + 1, step))
-    return [int(tok) for tok in spec.split(",") if tok]
+    return [_level(tok) for tok in spec.split(",") if tok]
 
 
 def _load(args) -> ProblemDocument:
@@ -94,12 +101,10 @@ def _load(args) -> ProblemDocument:
     return load_problem(args.input)
 
 
-def _membership_payload(result: sos.MembershipResult, mode: str) -> dict:
+def _result_fields(result: sos.LasserreResult | sos.MembershipResult) -> dict:
+    """The payload fields that ``solve`` and ``certify`` share."""
     return {
-        "command": "certify",
-        "mode": mode,
         "level": result.level,
-        "found": result.found,
         "reason": result.reason,
         "status": result.status,
         "certificate": (
@@ -126,18 +131,9 @@ def cmd_solve(args) -> int:
     )
     payload = {
         "command": "solve",
-        "level": result.level,
         "lower_bound": _json_float(result.lower_bound),
         "finite": result.is_finite,
-        "reason": result.reason,
-        "status": result.status,
-        "certificate": (
-            certificate_to_dict(result.certificate) if result.certificate else None
-        ),
-        "verification": (
-            result.verification.to_dict() if result.verification else None
-        ),
-        "solver": result.solver,
+        **_result_fields(result),
     }
     _emit_json(payload, args.output)
     return EXIT_OK if result.is_finite else EXIT_INCONCLUSIVE
@@ -155,7 +151,13 @@ def cmd_certify(args) -> int:
         result = sos.module_membership(mp, residual_tol=args.tol)
     else:
         result = sos.preordering_membership(mp, residual_tol=args.tol)
-    _emit_json(_membership_payload(result, args.mode), args.output)
+    payload = {
+        "command": "certify",
+        "mode": args.mode,
+        "found": result.found,
+        **_result_fields(result),
+    }
+    _emit_json(payload, args.output)
     return EXIT_OK if result.found else EXIT_INCONCLUSIVE
 
 

@@ -279,18 +279,16 @@ def _degree_compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def monomial_basis(
-    dimension: int, max_degree: int, cap: int = DEFAULT_BASIS_CAP
-) -> MonomialBasis:
+def monomial_basis(dimension: int, max_degree: int) -> MonomialBasis:
     """Graded-lex basis of the polynomials of degree <= max_degree."""
     if dimension < 1:
         raise InputError(f"dimension must be >= 1, got {dimension}")
     if max_degree < 0:
         raise InputError(f"max_degree must be >= 0, got {max_degree}")
     size = math.comb(dimension + max_degree, dimension)
-    if size > cap:
+    if size > DEFAULT_BASIS_CAP:
         raise CapacityError(
-            f"monomial basis of size {size} exceeds the cap {cap} "
+            f"monomial basis of size {size} exceeds the cap {DEFAULT_BASIS_CAP} "
             f"(n={dimension}, d={max_degree})"
         )
     monos: list[Monomial] = []

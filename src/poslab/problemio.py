@@ -23,6 +23,8 @@ from .errors import ParseError
 from .poly import Polynomial, parse_polynomial
 from .semialg import DEFAULT_FEASIBILITY_TOL, GridSpec, SemialgebraicSystem, default_points_per_axis
 
+_OPTION_TYPES = {"points_per_axis": int, "refinement_rounds": int, "feasibility_tol": float}
+
 
 @dataclass(frozen=True)
 class ProblemDocument:
@@ -34,18 +36,14 @@ class ProblemDocument:
 
     @property
     def feasibility_tol(self) -> float:
-        return float(self.options.get("feasibility_tol", DEFAULT_FEASIBILITY_TOL))
+        return self.options.get("feasibility_tol", DEFAULT_FEASIBILITY_TOL)
 
     def grid_spec(self, points_per_axis: int | None = None) -> GridSpec:
         ppa = points_per_axis or self.options.get(
             "points_per_axis", default_points_per_axis(self.dimension)
         )
         rounds = self.options.get("refinement_rounds", 3)
-        return GridSpec(
-            points_per_axis=int(ppa),
-            box=self.box,
-            refinement_rounds=int(rounds),
-        )
+        return GridSpec(points_per_axis=ppa, box=self.box, refinement_rounds=rounds)
 
 
 def problem_from_dict(data: dict) -> ProblemDocument:
@@ -63,6 +61,9 @@ def problem_from_dict(data: dict) -> ProblemDocument:
             if len(box) != n:
                 raise ParseError(f"box has {len(box)} axes, expected {n}")
         options = dict(data.get("options", {}))
+        for key, kind in _OPTION_TYPES.items():
+            if key in options:
+                options[key] = kind(options[key])
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

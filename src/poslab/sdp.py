@@ -64,7 +64,7 @@ The PSD-side iterate is exactly PSD at every step, so a run can stop as soon
 as that iterate satisfies the equalities:
 
 * feasibility problems (zero objective) stop when the equality residual of
-  the PSD iterate reaches ``stop_tol``;
+  the PSD iterate reaches ``STOP_TOL``;
 * optimization problems stop on the classic fixed-point test, or earlier on
   a certified primal-dual gap: the affine projection multiplier doubles as a
   dual candidate y, and once ``|<c,z> - <b,y>|`` and the dual slack spectrum
@@ -74,16 +74,24 @@ as that iterate satisfies the equalities:
 Statuses
 --------
 ``optimal`` / ``feasible``
-    residual contract met (``feasible`` when the objective is zero).
+    residual contract met (``feasible`` when the objective is zero): the
+    equality residual is at most ``EQ_TOL``.
 ``infeasible-detected``
-    the projection residual stalled above ``stall_residual`` for
-    ``stall_window`` consecutive iterations while the dual iterate kept
-    growing (bounded duals mean a feasible problem that is merely slow, so
-    the run continues).  Splitting methods produce no infeasibility
-    certificates, so this is a documented heuristic, never a proof; an
-    inconsistent equality system, however, is detected exactly up front.
+    the projection residual stalled above ``STALL_RESIDUAL`` for
+    ``STALL_WINDOW`` consecutive iterations, none of them improving it by a
+    relative ``STALL_IMPROVEMENT``, while the dual iterate grew by at least
+    ``STALL_DUAL_GROWTH * STALL_WINDOW`` times the residual over the window
+    (bounded duals mean a feasible problem that is merely slow, so the run
+    continues).  Splitting methods produce no infeasibility certificates, so
+    this is a documented heuristic, never a proof; an inconsistent equality
+    system, however, is detected exactly up front.
 ``max-iterations``
-    neither of the above within ``max_iterations``.
+    neither of the above within ``MAX_ITERATIONS``, or the objective passed
+    ``UNBOUNDED_THRESHOLD`` in absolute value.
+
+Every setting above is a module constant; the one setting read at run time
+is the total dimension cap, ``DEFAULT_MAX_TOTAL_DIM`` unless the environment
+variable ``POSLAB_MAX_SDP_DIM`` gives another.
 
 Returned block values always come from the cone projection (exactly PSD);
 ``primal_residual`` reports how well they satisfy the equality constraints.
@@ -98,8 +106,21 @@ import numpy as np
 
 from .errors import CapacityError, InputError, SolverError
 
-DEFAULT_MAX_TOTAL_DIM = 400
+DEFAULT_MAX_TOTAL_DIM = 400     # total dimension cap unless SDP_DIM_ENV_VAR is set
 SDP_DIM_ENV_VAR = "POSLAB_MAX_SDP_DIM"
+EQ_TOL = 1e-8                   # contract: ||A(Q) - b||_inf for ok output
+STOP_TOL = 5e-10                # high-precision exit for all residuals
+CERT_GAP_TOL = 3e-7             # certified exit: relative primal-dual gap
+CERT_EIG_TOL = 5e-7             # certified exit: dual slack eigenvalue floor
+CERT_CHECK_EVERY = 25
+MAX_ITERATIONS = 150_000
+OVER_RELAXATION = 1.6
+STALL_WINDOW = 2_000
+STALL_RESIDUAL = 1e-5
+STALL_IMPROVEMENT = 1e-3        # relative improvement that resets the window
+STALL_DUAL_GROWTH = 0.01        # required |u| growth per window, in units of
+                                # STALL_WINDOW * residual
+UNBOUNDED_THRESHOLD = 1e12
 ANDERSON_MEMORY = 8
 ANDERSON_REGULARIZATION = 1e-10  # relative Tikhonov weight of the least-squares fit
 
@@ -144,34 +165,16 @@ class SdpProblem:
         return sum(self.block_sizes)
 
 
-@dataclass(frozen=True)
-class SdpOptions:
-    eq_tol: float = 1e-8          # contract: ||A(Q) - b||_inf for ok output
-    psd_tol: float = 1e-8         # contract: min eigenvalue of ok output
-    stop_tol: float = 5e-10       # high-precision exit for all residuals
-    cert_gap_tol: float = 3e-7    # certified exit: relative primal-dual gap
-    cert_eig_tol: float = 5e-7    # certified exit: dual slack eigenvalue floor
-    cert_check_every: int = 25
-    max_iterations: int = 150_000
-    over_relaxation: float = 1.6
-    stall_window: int = 2_000
-    stall_residual: float = 1e-5
-    stall_improvement: float = 1e-3   # relative improvement that resets the window
-    stall_dual_growth: float = 0.01   # required |u| growth per window, in units
-                                      # of stall_window * residual
-    unbounded_threshold: float = 1e12
-    max_total_dim: int | None = None  # None: POSLAB_MAX_SDP_DIM env var, else 400
-
-    def resolved_max_dim(self) -> int:
-        if self.max_total_dim is not None:
-            return self.max_total_dim
-        env = os.environ.get(SDP_DIM_ENV_VAR)
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise InputError(f"{SDP_DIM_ENV_VAR} must be an integer, got {env!r}")
+def _max_total_dim() -> int:
+    """The total dimension cap: ``POSLAB_MAX_SDP_DIM`` if set, else
+    ``DEFAULT_MAX_TOTAL_DIM``."""
+    env = os.environ.get(SDP_DIM_ENV_VAR)
+    if env is None:
         return DEFAULT_MAX_TOTAL_DIM
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"{SDP_DIM_ENV_VAR} must be an integer, got {env!r}")
 
 
 @dataclass(frozen=True)
@@ -332,13 +335,13 @@ class _Anderson:
         return t - gamma @ self._dt
 
 
-def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the block SDP; see module docstring for the status contract."""
-    opts = options or SdpOptions()
-    if problem.total_dim > opts.resolved_max_dim():
+    cap = _max_total_dim()
+    if problem.total_dim > cap:
         raise CapacityError(
-            f"total SDP dimension {problem.total_dim} exceeds cap "
-            f"{opts.resolved_max_dim()} (override via {SDP_DIM_ENV_VAR})"
+            f"total SDP dimension {problem.total_dim} exceeds cap {cap} "
+            f"(override via {SDP_DIM_ENV_VAR})"
         )
     layout = _BlockLayout(problem.block_sizes)
     n = layout.total
@@ -389,7 +392,6 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     rho_eff = max(1.0, float(np.linalg.norm(c_vec)))
     drift = c_vec / rho_eff
     c_scale = 1.0 + float(np.abs(c_vec).max()) if has_objective else 1.0
-    alpha = opts.over_relaxation
 
     def plain_step(z, u):
         """One ADMM step from (z, u) up to the cone projection: the affine
@@ -400,7 +402,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             x = w - a_hat.T @ mu
         else:
             mu, x = np.zeros(0), w
-        return mu, x, alpha * x + (1.0 - alpha) * z + u
+        return mu, x, OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z + u
 
     def measure(x, z, u):
         """The consensus gap |x - z|, the equality residual of z and |u| at
@@ -412,30 +414,30 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
 
     best_res = np.inf
     last_improvement = 0
-    u_norm_hist = np.zeros(opts.stall_window)  # trailing |u| ring buffer
+    u_norm_hist = np.zeros(STALL_WINDOW)  # trailing |u| ring buffer
 
     def settle(it, res, u_norm, z):
         """Feed iteration ``it``'s sample (its residual max(gap, aff) and |u|
         at the point z) to the stall test and the breakdown and divergence
         guards; return (status, message) when the run ends there."""
         nonlocal best_res, last_improvement
-        if res < best_res * (1.0 - opts.stall_improvement):
+        if res < best_res * (1.0 - STALL_IMPROVEMENT):
             last_improvement = it
         if res < best_res:
             best_res = res
-        window_ago = u_norm_hist[it % opts.stall_window]
-        u_norm_hist[it % opts.stall_window] = u_norm
+        window_ago = u_norm_hist[it % STALL_WINDOW]
+        u_norm_hist[it % STALL_WINDOW] = u_norm
         if (
-            it - last_improvement >= opts.stall_window
-            and best_res > opts.stall_residual
-            and it > opts.stall_window
+            it - last_improvement >= STALL_WINDOW
+            and best_res > STALL_RESIDUAL
+            and it > STALL_WINDOW
             and u_norm - window_ago
-            >= opts.stall_dual_growth * opts.stall_window * best_res
+            >= STALL_DUAL_GROWTH * STALL_WINDOW * best_res
         ):
             # diverging duals over a stalled window are the splitting
             # method's infeasibility signature; bounded duals just mean slow
             return "infeasible-detected", (
-                f"residual stalled at {best_res:.3e} for {opts.stall_window} "
+                f"residual stalled at {best_res:.3e} for {STALL_WINDOW} "
                 f"iterations with diverging duals"
             )
         if not np.isfinite(res):
@@ -443,7 +445,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
                 "numerical breakdown: nonfinite residual",
                 {"iteration": it, "residual": res},
             )
-        if has_objective and abs(float(c_vec @ z)) > opts.unbounded_threshold:
+        if has_objective and abs(float(c_vec @ z)) > UNBOUNDED_THRESHOLD:
             return "max-iterations", "objective diverged; problem may be unbounded"
         return None
 
@@ -451,7 +453,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     u = np.zeros(n)
     status = "max-iterations"
     message = ""
-    iterations = opts.max_iterations
+    iterations = MAX_ITERATIONS
     gap = 0.0
     dual_gap: float | None = None
 
@@ -465,7 +467,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     held = None
     accepted = rejected = 0
 
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         mu, x, t = plain_step(z, u)
         if anderson is not None:
             res_norm = float(np.linalg.norm(t - s))
@@ -513,20 +515,16 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
 
         if not has_objective:
             # z is exactly PSD; meeting the equalities makes it a certificate.
-            if aff <= opts.stop_tol:
+            if aff <= STOP_TOL:
                 status = "feasible"
                 iterations = it
                 break
         else:
-            if aff <= opts.stop_tol and gap <= opts.stop_tol and step <= opts.stop_tol:
+            if aff <= STOP_TOL and gap <= STOP_TOL and step <= STOP_TOL:
                 status = "optimal"
                 iterations = it
                 break
-            if (
-                m
-                and aff <= opts.eq_tol
-                and it % opts.cert_check_every == 0
-            ):
+            if m and aff <= EQ_TOL and it % CERT_CHECK_EVERY == 0:
                 # The affine multiplier yields a dual candidate: at a fixed
                 # point c - A^T y equals the (PSD) normal-cone element.
                 # With the equality contract already met, a certified
@@ -536,9 +534,9 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
                 primal = float(c_vec @ z)
                 dual_val = float(b_hat @ y)
                 pd_gap = abs(primal - dual_val)
-                if pd_gap <= opts.cert_gap_tol * (1.0 + abs(primal) + abs(dual_val)):
+                if pd_gap <= CERT_GAP_TOL * (1.0 + abs(primal) + abs(dual_val)):
                     slack_eig = layout.min_eigenvalue(c_vec - a_hat.T @ y)
-                    if slack_eig >= -opts.cert_eig_tol * c_scale:
+                    if slack_eig >= -CERT_EIG_TOL * c_scale:
                         status = "optimal"
                         iterations = it
                         dual_gap = pd_gap
@@ -553,7 +551,6 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             iterations = it
             break
     else:
-        iterations = opts.max_iterations
         message = f"iteration cap reached with residual {best_res:.3e}"
 
     blocks = layout.unpack(z)

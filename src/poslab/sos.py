@@ -33,6 +33,7 @@ from .certificate import (
     Certificate,
     CertificateEntry,
     VerificationReport,
+    generator_polynomial,
     round_psd,
     verify,
 )
@@ -115,24 +116,14 @@ class _Block:
 def _generator_blocks(
     system: SemialgebraicSystem, level: int, mode: str
 ) -> list[_Block]:
-    n = system.dimension
-    blocks: list[_Block] = []
+    n, m = system.dimension, system.num_constraints
     if mode == QUADRATIC_MODULE:
-        gens: list[tuple[int | tuple[int, ...], Polynomial]] = [
-            (0, Polynomial.constant(n, 1.0))
-        ]
-        gens += [(i + 1, g) for i, g in enumerate(system.constraints)]
+        labels: list[int | tuple[int, ...]] = list(range(m + 1))
     else:
-        gens = []
-        m = system.num_constraints
-        for bits in range(2**m):
-            delta = tuple((bits >> j) & 1 for j in range(m))
-            prod = Polynomial.constant(n, 1.0)
-            for d, g in zip(delta, system.constraints):
-                if d:
-                    prod = prod * g
-            gens.append((delta, prod))
-    for label, gen in gens:
+        labels = [tuple((bits >> j) & 1 for j in range(m)) for bits in range(2**m)]
+    blocks: list[_Block] = []
+    for label in labels:
+        gen = generator_polynomial(system, mode, label)
         if gen.is_zero:
             continue  # a zero generator contributes nothing
         basis_degree = (level - gen.degree) // 2
@@ -193,13 +184,12 @@ def _certificate_from_blocks(
     system: SemialgebraicSystem,
     blocks: list[_Block],
     grams: tuple[np.ndarray, ...],
-    psd_tol: float,
 ) -> Certificate:
     entries = tuple(
         CertificateEntry(
             index=block.label,
             basis=block.basis,
-            gram=round_psd(grams[j], psd_tol),
+            gram=round_psd(grams[j], DEFAULT_PSD_TOL),
         )
         for j, block in enumerate(blocks)
     )
@@ -211,10 +201,7 @@ def _certificate_from_blocks(
 
 
 def _membership_search(
-    problem: MembershipProblem,
-    residual_tol: float,
-    psd_tol: float,
-    options: sdp.SdpOptions | None,
+    problem: MembershipProblem, residual_tol: float
 ) -> MembershipResult:
     target, system, level = problem.target, problem.system, problem.level
     if target.degree > level:
@@ -230,12 +217,12 @@ def _membership_search(
         )
     blocks = _generator_blocks(system, level, problem.mode)
     sdp_problem = _compile(target, system, level, blocks, bound_scalar=False)
-    solution = sdp.solve(sdp_problem, options)
+    solution = sdp.solve(sdp_problem)
     if solution.ok:
         cert = _certificate_from_blocks(
-            problem.mode, system, blocks, solution.block_values, psd_tol
+            problem.mode, system, blocks, solution.block_values
         )
-        report = verify(cert, target, residual_tol, psd_tol)
+        report = verify(cert, target, residual_tol)
         if report.passed:
             return MembershipResult(
                 found=True,
@@ -279,34 +266,25 @@ def _membership_search(
 
 
 def module_membership(
-    problem: MembershipProblem,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    options: sdp.SdpOptions | None = None,
+    problem: MembershipProblem, residual_tol: float = DEFAULT_RESIDUAL_TOL
 ) -> MembershipResult:
     """Search the level-k quadratic module for the target polynomial."""
     if problem.mode != QUADRATIC_MODULE:
         raise InputError("module_membership requires quadratic_module mode")
-    return _membership_search(problem, residual_tol, psd_tol, options)
+    return _membership_search(problem, residual_tol)
 
 
 def preordering_membership(
-    problem: MembershipProblem,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    options: sdp.SdpOptions | None = None,
+    problem: MembershipProblem, residual_tol: float = DEFAULT_RESIDUAL_TOL
 ) -> MembershipResult:
     """Search the level-k preordering (2^m product generators)."""
     if problem.mode != PREORDERING:
         raise InputError("preordering_membership requires preordering mode")
-    return _membership_search(problem, residual_tol, psd_tol, options)
+    return _membership_search(problem, residual_tol)
 
 
 def sos_decompose(
-    f: Polynomial,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    options: sdp.SdpOptions | None = None,
+    f: Polynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL
 ) -> MembershipResult:
     """Plain sum-of-squares decomposition (no constraints).
 
@@ -327,7 +305,7 @@ def sos_decompose(
         level=f.degree,
         mode=QUADRATIC_MODULE,
     )
-    return module_membership(problem, residual_tol, psd_tol, options)
+    return module_membership(problem, residual_tol)
 
 
 def archimedean_witness(
@@ -363,8 +341,6 @@ def lasserre_bound(
     system: SemialgebraicSystem,
     level: int,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    options: sdp.SdpOptions | None = None,
 ) -> LasserreResult:
     """Largest a with f - a in the level-`level` quadratic module.
 
@@ -396,21 +372,17 @@ def lasserre_bound(
         )
     blocks = _generator_blocks(system, level, QUADRATIC_MODULE)
     sdp_problem = _compile(f, system, level, blocks, bound_scalar=True)
-    solution = sdp.solve(sdp_problem, options)
+    solution = sdp.solve(sdp_problem)
     if solution.ok:
         nb = len(blocks)
         bound = float(
             solution.block_values[nb][0, 0] - solution.block_values[nb + 1][0, 0]
         )
         cert = _certificate_from_blocks(
-            QUADRATIC_MODULE,
-            system,
-            blocks,
-            solution.block_values[:nb],
-            psd_tol,
+            QUADRATIC_MODULE, system, blocks, solution.block_values[:nb]
         )
         shifted = f - Polynomial.constant(f.dimension, bound)
-        report = verify(cert, shifted, residual_tol, psd_tol)
+        report = verify(cert, shifted, residual_tol)
         if not report.passed:
             return LasserreResult(
                 level=level,

@@ -206,6 +206,28 @@ def test_converge_empty_levels_exits_1(tmp_path, interval_problem):
     assert main(["converge", "--input", interval_problem, "--levels", ""]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, levels, options",
+    [
+        ("converge", "a:b", {}),
+        ("converge", "2,x", {}),
+        ("bounds", None, {"points_per_axis": "abc"}),
+        ("converge", "2", {"feasibility_tol": "x"}),
+    ],
+)
+def test_malformed_input_is_an_error_not_a_crash(
+    tmp_path, capsys, command, levels, options
+):
+    path = write_problem(tmp_path / "p.json", 1, "x1", ["1 - x1^2"], options=options)
+    argv = [command, "--input", path]
+    if levels is not None:
+        argv += ["--levels", levels]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_converge_gap_bound_column_applicable(tmp_path, shifted_problem):
     # with c = 0.05 the validity threshold c*exp((2 d^2 n^d)^c) is tiny,
     # so the column is numeric rather than NA

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from poslab import CapacityError, InputError, SdpOptions, SdpProblem, solve
-from poslab.sdp import SDP_DIM_ENV_VAR
+from poslab import CapacityError, InputError, SdpProblem, solve
+from poslab.certificate import DEFAULT_PSD_TOL
+from poslab.sdp import EQ_TOL, SDP_DIM_ENV_VAR
 
 
 def _svec(mats, sizes):
@@ -83,11 +84,10 @@ def test_solution_meets_residual_contract():
         ),
         (E22, None),
     )
-    opts = SdpOptions()
-    sol = solve(problem, opts)
+    sol = solve(problem)
     assert sol.ok
-    assert sol.primal_residual <= opts.eq_tol
-    assert sol.min_eigenvalue >= -opts.psd_tol
+    assert sol.primal_residual <= EQ_TOL
+    assert sol.min_eigenvalue >= -DEFAULT_PSD_TOL
 
 
 def test_trace_constrained_matches_min_eigenvalue():
@@ -146,7 +146,6 @@ def test_dimension_cap():
     problem = _problem((401,), ())
     with pytest.raises(CapacityError):
         solve(problem)
-    assert solve(problem, SdpOptions(max_total_dim=500)).ok
 
 
 def test_dimension_cap_env_override(monkeypatch):

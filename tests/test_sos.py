@@ -14,6 +14,7 @@ from poslab import (
     MembershipProblem,
     PREORDERING,
     SemialgebraicSystem,
+    SolverError,
     grid_min,
     lasserre_bound,
     module_membership,
@@ -21,6 +22,7 @@ from poslab import (
     parse_polynomial,
     preordering_membership,
     reconstruct,
+    sdp,
     sos_decompose,
     verify,
 )
@@ -306,7 +308,7 @@ def test_lasserre_long_flat_residual_is_not_a_stall():
     # flat residual for longer than the stall window.  The solver that ran
     # the stop and stall tests on the plain step of every iteration took
     # 2,340 iterations here, 2,140 of them on a flat residual of about
-    # 7.5e-4, against stall_window = 2,000.  Only |u| staying flat
+    # 7.5e-4, against STALL_WINDOW = 2,000.  Only |u| staying flat
     # keeps the stall test from reporting infeasible-detected, so a stall
     # sample taken at an extrapolated point the safeguard later undoes could
     # turn this feasible case into a false -inf.
@@ -330,12 +332,10 @@ def test_lasserre_long_flat_residual_is_not_a_stall():
     ) == (2342, 281, 228)
 
 
-def test_lasserre_iteration_cap_raises_solver_error():
-    from poslab import SdpOptions, SolverError
-
-    tiny_cap = SdpOptions(max_iterations=3, stall_window=10**9)
+def test_lasserre_iteration_cap_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
     with pytest.raises(SolverError):
-        lasserre_bound(P("x1"), interval_system(), 2, options=tiny_cap)
+        lasserre_bound(P("x1"), interval_system(), 2)
 
 
 def test_lasserre_failed_verification_gives_no_bound():
@@ -349,13 +349,9 @@ def test_lasserre_failed_verification_gives_no_bound():
     assert res.solver["status"] == "optimal"
 
 
-def test_membership_iteration_cap_is_inconclusive():
-    from poslab import SdpOptions
-
-    tiny_cap = SdpOptions(max_iterations=3, stall_window=10**9)
-    res = module_membership(
-        MembershipProblem(P("2 + x1"), interval_system(), 2), options=tiny_cap
-    )
+def test_membership_iteration_cap_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
+    res = module_membership(MembershipProblem(P("2 + x1"), interval_system(), 2))
     assert not res.found
     assert res.status == "max-iterations"
     assert "inconclusive" in res.reason
