@@ -66,15 +66,16 @@ class BoundInputs:
     k: int | None = None
 
     def __post_init__(self):
-        if self.c <= 0:
+        # each check is negated ("not x > 0") so that NaN fails it too
+        if not self.c > 0:
             raise InputError(f"constant c must be positive, got {self.c}")
-        if self.d < 1:
+        if not self.d >= 1:
             raise InputError(f"degree must be >= 1, got {self.d}")
-        if self.n < 1:
+        if not self.n >= 1:
             raise InputError(f"dimension must be >= 1, got {self.n}")
-        if self.norm_f <= 0:
+        if not self.norm_f > 0:
             raise InputError(f"norm must be positive, got {self.norm_f}")
-        if self.f_star <= 0:
+        if not self.f_star > 0:
             raise InputError(f"minimum must be positive, got {self.f_star}")
 
     def ratio(self) -> float:

@@ -71,6 +71,32 @@ as that iterate satisfies the equalities:
   of ``c - A^T y`` are small the objective cannot move further (degenerate
   instances reach this certificate long before the consensus gap dies).
 
+Presolve
+--------
+Before the loop, ``solve`` runs an exact partial facial reduction by
+diagonal consistency (Loefberg 2009; Permenter & Parrilo 2018).  A row with
+b_i == 0 whose nonzeros, among the surviving svec entries, all sit on the
+diagonal and share one sign forces those diagonal entries to zero, and since
+the blocks are PSD, the whole Gram row and column of each.  Their svec
+entries are removed and the rule is applied again until nothing changes;
+then rows that are all zero with b_i == 0 are dropped.  A row that is all
+zero with b_i != 0 stays, and the up-front zero-row check turns it into an
+exact ``infeasible-detected`` at 0 iterations, naming the row by its index
+in the problem as given.  It uses exact comparisons only (``== 0`` and
+signs), so it needs no tolerance.
+
+Sums of a few sparse squares are the typical case: a monomial whose
+coefficient is 0 and that only a square of a basis monomial can produce
+forces that Gram diagonal entry to zero.  Such a feasible set has no
+interior point, and there the iteration stalls or crawls.  The loop solves
+the smaller problem; blocks reduced to size 0 leave it.  The returned blocks
+are zero-padded back to the original sizes, and ``primal_residual``,
+``min_eigenvalue`` and ``objective_value`` are measured on the original
+problem.  When the presolve removes nothing, the loop gets the original
+arrays, so it runs exactly as without it.  ``facial_reduction_dim`` counts
+the Gram rows and columns fixed at zero (summed over blocks) and
+``facial_reduction_rows`` the rows dropped.
+
 Statuses
 --------
 ``optimal`` / ``feasible``
@@ -83,8 +109,9 @@ Statuses
     ``STALL_DUAL_GROWTH * STALL_WINDOW`` times the residual over the window
     (bounded duals mean a feasible problem that is merely slow, so the run
     continues).  Splitting methods produce no infeasibility certificates, so
-    this is a documented heuristic, never a proof; an inconsistent equality
-    system, however, is detected exactly up front.
+    this is a documented heuristic, never a proof.  Two verdicts at 0
+    iterations are exact, however: a row the presolve leaves reading
+    0 = b_i != 0, and an inconsistent equality system.
 ``max-iterations``
     neither of the above within ``MAX_ITERATIONS``, or the objective passed
     ``UNBOUNDED_THRESHOLD`` in absolute value.
@@ -190,6 +217,8 @@ class SdpSolution:
     message: str = ""
     anderson_accepted: int = 0  # extrapolated points kept by the safeguard
     anderson_rejected: int = 0  # extrapolated points undone by the safeguard
+    facial_reduction_dim: int = 0   # Gram rows/columns the presolve fixed at zero
+    facial_reduction_rows: int = 0  # equality rows the presolve dropped
 
     @property
     def ok(self) -> bool:
@@ -207,6 +236,8 @@ class SdpSolution:
             "message": self.message,
             "anderson_accepted": self.anderson_accepted,
             "anderson_rejected": self.anderson_rejected,
+            "facial_reduction_dim": self.facial_reduction_dim,
+            "facial_reduction_rows": self.facial_reduction_rows,
         }
 
 
@@ -227,6 +258,7 @@ class _SizeClass:
     upper: np.ndarray        # (p,): flat position of the svec entries in size*size
     lower: np.ndarray        # (p,): flat position of their mirror images
     scale: np.ndarray        # (p,): sqrt(2) off the diagonal, 1 on it
+    diagonal: np.ndarray     # (p,): True on the svec entries of the diagonal
 
 
 class _BlockLayout:
@@ -238,6 +270,7 @@ class _BlockLayout:
         lengths = [s * (s + 1) // 2 for s in block_sizes]
         offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))[:-1]
         self.total = int(sum(lengths))
+        self.diagonal = np.zeros(self.total, dtype=bool)  # svec diagonal entries
         self.classes: list[_SizeClass] = []
         for size in sorted(set(block_sizes)):
             blocks = tuple(j for j, s in enumerate(block_sizes) if s == size)
@@ -257,8 +290,11 @@ class _BlockLayout:
                     upper=rows * size + cols,
                     lower=cols * size + rows,
                     scale=scale,
+                    diagonal=rows == cols,
                 )
             )
+            cls = self.classes[-1]
+            self.diagonal[cls.segments[:, cls.diagonal]] = True
 
     def _stack(self, vec: np.ndarray, cls: _SizeClass) -> np.ndarray:
         return vec[cls.gather] / cls.unscale
@@ -282,6 +318,18 @@ class _BlockLayout:
             flat = proj.reshape(len(cls.blocks), -1)
             out[cls.segments] = 0.5 * (flat[:, cls.upper] + flat[:, cls.lower]) * cls.scale
         return out
+
+    def gram_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram row and column of each svec entry, numbering the rows of
+        all blocks consecutively in block order."""
+        firsts = np.concatenate(([0], np.cumsum(self.sizes, dtype=np.intp)))[:-1]
+        row = np.empty(self.total, dtype=np.intp)
+        col = np.empty(self.total, dtype=np.intp)
+        for cls in self.classes:
+            first = firsts[list(cls.blocks)][:, None]
+            row[cls.segments] = first + cls.upper // cls.size
+            col[cls.segments] = first + cls.upper % cls.size
+        return row, col
 
     def min_eigenvalue(self, vec: np.ndarray) -> float:
         worst = np.inf
@@ -335,6 +383,64 @@ class _Anderson:
         return t - gamma @ self._dt
 
 
+@dataclass(frozen=True)
+class _Face:
+    """The problem restricted to the face of the PSD cone that the presolve
+    found: the surviving blocks, svec entries and equality rows."""
+
+    block_sizes: tuple[int, ...]  # nonempty blocks, at their reduced sizes
+    columns: np.ndarray           # surviving svec entries, in order
+    rows: np.ndarray              # surviving equality rows, in order
+    dim: int                      # Gram rows/columns fixed at zero
+
+
+def _facial_reduction(
+    layout: _BlockLayout, a_mat: np.ndarray, b: np.ndarray
+) -> _Face | None:
+    """Partial facial reduction by diagonal consistency; None when it removes
+    nothing.
+
+    A row with b_i == 0 whose nonzeros on the surviving svec entries all sit
+    on the diagonal and share one sign forces those diagonal entries to zero,
+    and with each of them its whole Gram row and column.  Rounds repeat until
+    no row forces anything new; rows left all zero with b_i == 0 are dropped.
+    Every comparison is exact."""
+    zero_rhs = np.flatnonzero(b == 0)
+    magnitude = a_mat[zero_rhs]
+    np.abs(magnitude, out=magnitude)
+    off_diagonal = (~layout.diagonal).astype(float)
+    fixed = np.zeros(sum(layout.sizes), dtype=bool)
+    alive = gram = None
+    while True:
+        weights = off_diagonal if alive is None else off_diagonal * alive
+        candidates = zero_rhs[magnitude @ weights == 0]
+        entries = a_mat[candidates]
+        if alive is not None:
+            entries = np.where(alive, entries, 0.0)
+        positive = (entries > 0).any(axis=1)
+        negative = (entries < 0).any(axis=1)
+        forcing = positive != negative
+        if not forcing.any():
+            break
+        if gram is None:
+            gram = layout.gram_indices()
+        row, col = gram
+        fixed[row[(entries[forcing] != 0).any(axis=0)]] = True
+        alive = ~(fixed[row] | fixed[col])
+    dropped = candidates[~(positive | negative)]
+    if alive is None and not dropped.size:
+        return None
+    kept = np.split(~fixed, np.cumsum(layout.sizes)[:-1])  # per block
+    rows = np.ones(len(b), dtype=bool)
+    rows[dropped] = False
+    return _Face(
+        block_sizes=tuple(int(k.sum()) for k in kept if k.any()),
+        columns=np.arange(layout.total) if alive is None else np.flatnonzero(alive),
+        rows=np.flatnonzero(rows),
+        dim=int(fixed.sum()),
+    )
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the block SDP; see module docstring for the status contract."""
     cap = _max_total_dim()
@@ -343,31 +449,43 @@ def solve(problem: SdpProblem) -> SdpSolution:
             f"total SDP dimension {problem.total_dim} exceeds cap {cap} "
             f"(override via {SDP_DIM_ENV_VAR})"
         )
-    layout = _BlockLayout(problem.block_sizes)
+    full = _BlockLayout(problem.block_sizes)
+    c_full = np.zeros(full.total) if problem.objective is None else problem.objective
+    face = _facial_reduction(full, problem.constraints, problem.rhs)
+    if face is None:
+        layout, a_mat, b, c_vec = full, problem.constraints, problem.rhs, c_full
+        rows = np.arange(len(b))
+    else:
+        layout = _BlockLayout(face.block_sizes)
+        a_mat = problem.constraints[np.ix_(face.rows, face.columns)]
+        b = problem.rhs[face.rows]
+        c_vec = c_full[face.columns]
+        rows = face.rows
+    presolve_counts = {
+        "facial_reduction_dim": 0 if face is None else face.dim,
+        "facial_reduction_rows": len(problem.rhs) - len(rows),
+    }
     n = layout.total
-    m = len(problem.constraints)
-
-    a_mat = problem.constraints
-    b = problem.rhs
-    c_vec = np.zeros(n) if problem.objective is None else problem.objective
+    m = len(b)
     has_objective = bool(np.any(c_vec))
 
     # Row scaling; a zero row with nonzero rhs is an immediate contradiction.
     row_scale = np.linalg.norm(a_mat, axis=1) if m else np.zeros(0)
-    for i in range(m):
-        if row_scale[i] < 1e-12:
-            if abs(b[i]) > 1e-12:
-                zeros = layout.unpack(np.zeros(n))
-                return SdpSolution(
-                    status="infeasible-detected",
-                    block_values=zeros,
-                    objective_value=0.0,
-                    primal_residual=abs(b[i]),
-                    min_eigenvalue=0.0,
-                    iterations=0,
-                    message=f"constraint {i} reads 0 = {b[i]}",
-                )
-            row_scale[i] = 1.0
+    zero_rows = row_scale < 1e-12
+    contradictions = np.flatnonzero(zero_rows & (np.abs(b) > 1e-12))
+    if contradictions.size:
+        i = contradictions[0]
+        return SdpSolution(
+            status="infeasible-detected",
+            block_values=full.unpack(np.zeros(full.total)),
+            objective_value=0.0,
+            primal_residual=abs(b[i]),
+            min_eigenvalue=0.0,
+            iterations=0,
+            message=f"constraint {rows[i]} reads 0 = {b[i]}",
+            **presolve_counts,
+        )
+    row_scale[zero_rows] = 1.0
     a_hat = a_mat / row_scale[:, None] if m else a_mat
     b_hat = b / row_scale if m else b
     gram_pinv = (
@@ -381,12 +499,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if ls_residual > 1e-8 * max(1.0, float(np.abs(b_hat).max())):
             return SdpSolution(
                 status="infeasible-detected",
-                block_values=layout.unpack(np.zeros(n)),
+                block_values=full.unpack(np.zeros(full.total)),
                 objective_value=0.0,
                 primal_residual=float(np.abs(a_mat @ ls_point - b).max()),
                 min_eigenvalue=0.0,
                 iterations=0,
                 message="equality constraints are mutually inconsistent",
+                **presolve_counts,
             )
 
     rho_eff = max(1.0, float(np.linalg.norm(c_vec)))
@@ -553,10 +672,17 @@ def solve(problem: SdpProblem) -> SdpSolution:
     else:
         message = f"iteration cap reached with residual {best_res:.3e}"
 
-    blocks = layout.unpack(z)
-    min_eig = layout.min_eigenvalue(z)
-    primal_residual = float(np.abs(a_mat @ z - b).max()) if m else 0.0
-    objective_value = float(c_vec @ z)
+    if face is not None:
+        # zero-pad back: the fixed Gram rows and columns are exactly zero
+        z_face, z = z, np.zeros(full.total)
+        z[face.columns] = z_face
+    blocks = full.unpack(z)
+    min_eig = full.min_eigenvalue(z)
+    primal_residual = (
+        float(np.abs(problem.constraints @ z - problem.rhs).max())
+        if len(problem.rhs) else 0.0
+    )
+    objective_value = float(c_full @ z)
 
     return SdpSolution(
         status=status,
@@ -570,4 +696,5 @@ def solve(problem: SdpProblem) -> SdpSolution:
         message=message,
         anderson_accepted=accepted,
         anderson_rejected=rejected,
+        **presolve_counts,
     )

@@ -16,10 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfeasibleAtResolutionError, InputError
+from .errors import (
+    CapacityError,
+    DimensionMismatchError,
+    InfeasibleAtResolutionError,
+    InputError,
+)
 from .poly import Polynomial, rescale
 
 DEFAULT_FEASIBILITY_TOL = 1e-9
+MAX_GRID_POINTS = 1_000_000  # desk scale: the (N, n) point array takes at most 8n MB
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,16 @@ def contains(
 def grid_points(
     box: tuple[tuple[float, float], ...], points_per_axis: int
 ) -> np.ndarray:
-    """All grid points as an (N, n) array, rows in lexicographic index order."""
+    """All grid points as an (N, n) array, rows in lexicographic index order.
+
+    Raises CapacityError, before anything is allocated, when the grid has
+    more than ``MAX_GRID_POINTS`` points."""
+    count = int(points_per_axis) ** len(box)
+    if count > MAX_GRID_POINTS:
+        raise CapacityError(
+            f"a grid of {points_per_axis}^{len(box)} points exceeds the cap of "
+            f"{MAX_GRID_POINTS} points"
+        )
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)

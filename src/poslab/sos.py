@@ -5,9 +5,12 @@ to SDP feasibility: one Gram block per generator (per product g^delta in
 preordering mode), the block for generator g over the monomial basis of
 degree floor((k - deg g)/2) so every summand sigma*g stays within degree k,
 and one linear equality per monomial of degree <= k matching coefficients of
-sum_i z_i^T Q_i z_i * g_i against f.  Redundant rows (monomials no product
-can reach) are kept; the splitting solver tolerates them and a zero row with
-a nonzero target coefficient is an instant sign of infeasibility.
+sum_i z_i^T Q_i z_i * g_i against f.  Every monomial gets its row, even one
+no product can reach; the solver's presolve drops the rows that end up all
+zero with a zero target coefficient, and reports one with a nonzero target
+coefficient as exactly infeasible.  That presolve also fixes at zero the
+Gram rows and columns that a zero coefficient forces to vanish, which is
+what makes sums of a few sparse squares solvable.
 
 The hierarchy lower bound at level k maximizes a subject to f - a lying in
 the level-k cone; the scalar a enters the constant-coefficient row as the

@@ -63,6 +63,9 @@ def test_bound_inputs_validated():
         dict(c=1.0, d=1, n=0, norm_f=1.0, f_star=1.0),
         dict(c=1.0, d=1, n=1, norm_f=0.0, f_star=1.0),
         dict(c=1.0, d=1, n=1, norm_f=1.0, f_star=0.0),
+        dict(c=math.nan, d=1, n=1, norm_f=1.0, f_star=1.0),
+        dict(c=1.0, d=1, n=1, norm_f=math.nan, f_star=1.0),
+        dict(c=1.0, d=1, n=1, norm_f=1.0, f_star=math.nan),
     ):
         with pytest.raises(InputError):
             BoundInputs(**bad)

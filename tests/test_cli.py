@@ -213,6 +213,7 @@ def test_converge_empty_levels_exits_1(tmp_path, interval_problem):
         ("converge", "2,x", {}),
         ("bounds", None, {"points_per_axis": "abc"}),
         ("converge", "2", {"feasibility_tol": "x"}),
+        ("bounds", None, {"points_per_axis": 1e30}),
     ],
 )
 def test_malformed_input_is_an_error_not_a_crash(
@@ -226,6 +227,17 @@ def test_malformed_input_is_an_error_not_a_crash(
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_bounds_rejects_nan_input(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    code = main(["bounds", "--d", "2", "--n", "1", "--norm-f", "nan",
+                 "--f-star", "1", "--output", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "NaN" not in captured.out
+    assert not out.exists()
 
 
 def test_converge_gap_bound_column_applicable(tmp_path, shifted_problem):

@@ -335,3 +335,98 @@ def test_batched_projection_matches_per_block_reference():
         for block, s in zip(layout.unpack(proj), sizes):
             assert block.shape == (s, s)
             assert np.linalg.eigvalsh(block)[0] >= -1e-12
+
+
+# ----------------------------------------------------------------------
+# presolve: facial reduction by diagonal consistency
+
+
+def _unit(size, i, j):
+    """The symmetric matrix with <E, Q> = Q_ij (i == j) or 2 Q_ij (i != j)."""
+    e = np.zeros((size, size))
+    e[i, j] = e[j, i] = 1.0
+    return e
+
+
+def test_presolve_two_rounds_pads_exact_zeros():
+    # Round 1: row 0 forces Q00 = 0, which removes Q01 and Q02.  Only then
+    # is row 1 a one-signed diagonal row; round 2 forces Q11 = 0 and so
+    # removes Q12.  Rows 0 and 1 end up all zero with rhs 0 and are dropped.
+    problem = _problem(
+        (3, 2),
+        (
+            ((_unit(3, 0, 0), None), 0.0),
+            ((_unit(3, 1, 1) + 0.5 * _unit(3, 0, 1), None), 0.0),
+            ((_unit(3, 2, 2), E11), 1.0),
+            ((0.5 * _unit(3, 1, 2), E12), 0.5),
+            ((None, E22), 2.0),
+        ),
+    )
+    sol = solve(problem)
+    assert sol.status == "feasible"
+    assert (sol.facial_reduction_dim, sol.facial_reduction_rows) == (2, 2)
+    q, r = sol.block_values
+    assert q.shape == (3, 3) and r.shape == (2, 2)
+    assert np.all(q[:2, :] == 0.0) and np.all(q[:, :2] == 0.0)
+    # the residual is taken over every row of the original problem
+    z = _svec(sol.block_values, (3, 2))
+    expected = float(np.abs(problem.constraints @ z - problem.rhs).max())
+    assert sol.primal_residual == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert sol.primal_residual <= EQ_TOL
+
+
+def test_presolve_fixing_every_variable_is_feasible():
+    problem = _problem(
+        (2, 1),
+        (
+            ((E11, None), 0.0),
+            ((E22, -np.eye(1)), 0.0),
+            ((None, -np.eye(1)), 0.0),
+        ),
+    )
+    sol = solve(problem)
+    assert sol.status == "feasible"
+    assert (sol.facial_reduction_dim, sol.facial_reduction_rows) == (3, 3)
+    assert [b.shape for b in sol.block_values] == [(2, 2), (1, 1)]
+    assert all(np.all(b == 0.0) for b in sol.block_values)
+    assert sol.primal_residual == 0.0
+
+
+def test_presolve_contradiction_names_the_original_row():
+    # row 0 forces Q00 = 0 and is dropped; what is left of row 2 reads
+    # 0 = 1, and the message counts rows of the problem as given
+    problem = _problem(
+        (2,),
+        (((E11,), 0.0), ((E22,), 1.0), ((E12,), 1.0)),
+    )
+    sol = solve(problem)
+    assert sol.status == "infeasible-detected"
+    assert sol.iterations == 0
+    assert sol.message == "constraint 2 reads 0 = 1.0"
+    assert (sol.facial_reduction_dim, sol.facial_reduction_rows) == (1, 1)
+    assert np.all(sol.block_values[0] == 0.0)
+
+
+def test_presolve_leaves_mixed_sign_and_nonzero_rhs_rows_alone():
+    # a diagonal row with both signs, and a one-signed one with rhs != 0,
+    # force nothing: the problem reaches the loop unchanged
+    problem = _problem(
+        (2,),
+        (((E11 - E22,), 0.0), ((E11 + E22,), 2.0)),
+    )
+    sol = solve(problem)
+    assert sol.status == "feasible"
+    assert (sol.facial_reduction_dim, sol.facial_reduction_rows) == (0, 0)
+    assert sol.block_values[0][0, 0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_zero_row_scan_reports_the_first_contradiction():
+    zero = np.zeros((2, 2))
+    problem = _problem(
+        (2,),
+        (((E11,), 1.0), ((zero,), 2.0), ((zero,), 3.0)),
+    )
+    sol = solve(problem)
+    assert sol.status == "infeasible-detected"
+    assert sol.iterations == 0
+    assert sol.message == "constraint 1 reads 0 = 2.0"

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import box_system, random_positive_degree_polynomial
 from poslab import (
+    CapacityError,
     DimensionMismatchError,
     GridSpec,
     InfeasibleAtResolutionError,
@@ -118,6 +119,19 @@ def test_grid_min_infeasible_at_resolution():
     )  # 0.0001 - (x-0.5)^2 >= 0
     with pytest.raises(InfeasibleAtResolutionError):
         grid_min(P("x1"), thin, GridSpec(11, refinement_rounds=0))
+
+
+def test_grid_size_cap():
+    from poslab.semialg import MAX_GRID_POINTS, grid_points
+
+    # the cap is checked with exact integers, before anything is allocated
+    with pytest.raises(CapacityError):
+        grid_points(((-1.0, 1.0),) * 3, 101)
+    with pytest.raises(CapacityError):
+        grid_points(((-1.0, 1.0),), 10**30)
+    with pytest.raises(CapacityError):
+        grid_min(P("x1"), interval_system(), GridSpec(MAX_GRID_POINTS + 1))
+    assert grid_points(((-1.0, 1.0),) * 2, 1000).shape == (MAX_GRID_POINTS, 2)
 
 
 def test_grid_min_deterministic_tie_break():

@@ -13,6 +13,7 @@ from poslab import (
     InputError,
     MembershipProblem,
     PREORDERING,
+    Polynomial,
     SemialgebraicSystem,
     SolverError,
     grid_min,
@@ -193,6 +194,47 @@ def test_module_membership_mode_guard():
         )
 
 
+# Sums of two sparse squares in two variables (exponents (a, b) stand for
+# x1^a x2^b).  Each one's Gram matrix over the degree-2 basis must vanish on
+# two basis monomials, so its SDP has no interior point.  Without the
+# presolve the first ended in a false infeasible-detected and the second in
+# the 150,000-iteration cap.
+SPARSE_SQUARE_SUMS = {
+    "false-infeasible": (
+        {(0, 2): 0.429, (1, 1): -0.494, (0, 1): -1.677},
+        {(0, 2): 1.487, (1, 1): 1.609, (2, 0): 0.176},
+    ),
+    "iteration-cap": (
+        {(2, 0): 0.914, (1, 0): -1.632, (0, 0): 0.4},
+        {(1, 1): -0.9, (2, 0): 0.63, (1, 0): 0.249},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_SQUARE_SUMS))
+def test_sparse_square_sums_found_after_facial_reduction(name):
+    squares = [Polynomial(2, terms) for terms in SPARSE_SQUARE_SUMS[name]]
+    f = squares[0] * squares[0] + squares[1] * squares[1]
+    res = module_membership(MembershipProblem(f, SemialgebraicSystem(2, ()), 4))
+    assert res.found
+    assert res.status == "feasible"
+    assert verify(res.certificate, f).passed
+    assert res.solver["facial_reduction_dim"] == 2
+    assert res.solver["facial_reduction_rows"] == 6
+    assert res.solver["iterations"] < 1_000
+
+
+def test_linear_form_is_exactly_not_a_sum_of_squares():
+    # the rows of 1 and x1^2 force the whole Gram matrix to zero, which
+    # leaves the row of x1 reading 0 = 1: an exact verdict, no iteration
+    res = module_membership(MembershipProblem(P("x1"), SemialgebraicSystem(1, ()), 2))
+    assert not res.found
+    assert res.status == "infeasible-detected"
+    assert res.solver["iterations"] == 0
+    assert res.solver["message"] == "constraint 1 reads 0 = 1.0"
+    assert res.solver["facial_reduction_dim"] == 2
+
+
 # ----------------------------------------------------------------------
 # preordering membership
 
@@ -330,6 +372,9 @@ def test_lasserre_long_flat_residual_is_not_a_stall():
         res.solver["anderson_accepted"],
         res.solver["anderson_rejected"],
     ) == (2342, 281, 228)
+    # the box generators and the bound scalar mix signs: nothing is reduced
+    assert res.solver["facial_reduction_dim"] == 0
+    assert res.solver["facial_reduction_rows"] == 0
 
 
 def test_lasserre_iteration_cap_raises_solver_error(monkeypatch):
