@@ -27,8 +27,9 @@ How an iteration runs
 ---------------------
 Blocks live in one stacked svec vector.  The cone projection gathers all
 blocks of one size into a ``(k, s, s)`` stack through index maps built once
-per problem, makes one batched ``eigh`` call per distinct size, scatters the
-clipped reconstructions back, and clips every 1x1 block in one vectorized
+per tuple of block sizes and shared, read-only, between solves, makes one
+batched ``eigh`` call per distinct size, scatters the clipped
+reconstructions back, and clips every 1x1 block in one vectorized
 ``maximum``.
 
 The iterate (z, u) is a function of the single point s = z + u: by the
@@ -36,40 +37,63 @@ Moreau decomposition z is the cone projection of s and u = s - z.  One ADMM
 step is therefore a fixed-point map s -> T(s), and an iteration makes one
 cone projection, at the point it moves to.  It takes the affine step from
 (z, u), which gives t = T(s), then picks the next point s': t itself, or,
-when the problem has a nonzero objective and the last ``ANDERSON_MEMORY``
-steps are stored, the safeguarded type-II Anderson extrapolation of the
-stored steps.  Then it projects once, z = P(s'), u = s' - z, and runs the
-stop tests on that z (exactly PSD) with the affine step just taken.
+once the last ``ANDERSON_MEMORY`` steps are stored, the safeguarded type-II
+Anderson extrapolation of the stored steps.  Then it projects once,
+z = P(s'), u = s' - z, and runs the stop tests on that z (exactly PSD) with
+the affine step just taken.  Feasibility problems (zero objective) and
+optimization problems run this same loop; only their stop tests differ.
 
 The safeguard judges an extrapolated s' in the next iteration: s' is kept
 only if its own residual ||T(s') - s'|| is lower than that of the point it
 came from.  Otherwise the iteration projects the stored plain point t
 instead, steps from there and clears the memory.  So a solve makes
 ``iterations + anderson_rejected`` projections, and ``iterations`` counts
-affine steps from kept points.  Feasibility problems (zero objective) run
-the plain map: there acceleration delays the stall signature below (the
-growth of |u| over a window) and flips some ``infeasible-detected``
-verdicts, so it costs more than it saves.
+affine steps from kept points.
 
-The stall test takes one sample per iteration, max(gap, equality residual)
-and |u| at the projected point, and never one at a point the safeguard
-undoes.  The sample of a plain point is taken at once.  The sample of an
-extrapolated point waits for the safeguard's verdict on it; if the point is
-undone, the sample at P(t) replaces it, which is what the iteration would
-have sampled without the extrapolation.  A verdict on a held sample ends
-the run at the iteration the sample belongs to.  The divergence and
-breakdown guards see the same samples.
+The stall test (the fallback stop, see *Statuses*) takes one sample per
+iteration, max(gap, equality residual) and |u| at the projected point, and
+never one at a point the safeguard undoes.  The sample of a plain point is
+taken at once.  The sample of an extrapolated point waits for the
+safeguard's verdict on it; if the point is undone, the sample at P(t)
+replaces it, which is what the iteration would have sampled without the
+extrapolation.  A verdict on a held sample ends the run at the iteration
+the sample belongs to.  The divergence and breakdown guards see the same
+samples.
 
 The PSD-side iterate is exactly PSD at every step, so a run can stop as soon
 as that iterate satisfies the equalities:
 
 * feasibility problems (zero objective) stop when the equality residual of
-  the PSD iterate reaches ``STOP_TOL``;
+  the PSD iterate reaches ``STOP_TOL``, or, checked every
+  ``CERT_CHECK_EVERY`` iterations, when the last dual step yields a Farkas
+  certificate (below);
 * optimization problems stop on the classic fixed-point test, or earlier on
   a certified primal-dual gap: the affine projection multiplier doubles as a
   dual candidate y, and once ``|<c,z> - <b,y>|`` and the dual slack spectrum
   of ``c - A^T y`` are small the objective cannot move further (degenerate
   instances reach this certificate long before the consensus gap dies).
+
+Farkas certificates
+-------------------
+On an infeasible problem the dual steps u - u_prev converge to x* - z*, the
+shortest vector from the PSD cone to the affine set (Banjac, Goulart,
+Stellato & Boyd 2019).  Its negative z* - x* is PSD and normal to the affine
+set, so it is A^T y for a Farkas certificate y.  Every
+``CERT_CHECK_EVERY`` iterations a feasibility solve takes the last step
+d = u_prev - u, fits y = (A A^T)^+ A d against the row-scaled system by
+least squares and scales it to |A^T y| = 1.  It accepts y when
+b^T y < -``FARKAS_RHS_TOL`` and lambda_min(A^T y) >= -``FARKAS_EIG_TOL``.
+The test is plain algebra on y, whatever point the step came from (one the
+safeguard later undoes is as good a source as any).
+
+What y proves: for every PSD Q with A(Q) = b, b^T y = <A^T y, Q> >=
+lambda_min(A^T y) trace(Q).  With lambda_min = -delta < 0, every PSD
+solution of the reduced, row-scaled system has trace(Q) >= |b^T y| / delta
+(row scaling leaves Q alone); with lambda_min >= 0, none exists.  The
+presolve below is exact, so a certificate for the reduced problem proves
+the same of the problem as given.  For a membership SDP, y is a truncated
+pseudo-moment functional (Lasserre's dual): PSD moment and localizing
+matrices, negative on the target.
 
 Presolve
 --------
@@ -103,15 +127,21 @@ Statuses
     residual contract met (``feasible`` when the objective is zero): the
     equality residual is at most ``EQ_TOL``.
 ``infeasible-detected``
-    the projection residual stalled above ``STALL_RESIDUAL`` for
-    ``STALL_WINDOW`` consecutive iterations, none of them improving it by a
-    relative ``STALL_IMPROVEMENT``, while the dual iterate grew by at least
-    ``STALL_DUAL_GROWTH * STALL_WINDOW`` times the residual over the window
-    (bounded duals mean a feasible problem that is merely slow, so the run
-    continues).  Splitting methods produce no infeasibility certificates, so
-    this is a documented heuristic, never a proof.  Two verdicts at 0
-    iterations are exact, however: a row the presolve leaves reading
-    0 = b_i != 0, and an inconsistent equality system.
+    one of three kinds of evidence, which the message names:
+
+    * exact, at 0 iterations: a row the presolve leaves reading
+      0 = b_i != 0, or an inconsistent equality system;
+    * a Farkas certificate (feasibility problems only): ``farkas_rhs`` and
+      ``farkas_min_eigenvalue`` hold b^T y and lambda_min(A^T y) at
+      |A^T y| = 1, ``farkas_y`` holds y, and the message gives the trace
+      bound above;
+    * the stall test, a heuristic and never a proof: the projection
+      residual stalled above ``STALL_RESIDUAL`` for ``STALL_WINDOW``
+      consecutive iterations, none of them improving it by a relative
+      ``STALL_IMPROVEMENT``, while the dual iterate grew by at least
+      ``STALL_DUAL_GROWTH * STALL_WINDOW`` times the residual over the
+      window (bounded duals mean a feasible problem that is merely slow, so
+      the run continues).
 ``max-iterations``
     neither of the above within ``MAX_ITERATIONS``, or the objective passed
     ``UNBOUNDED_THRESHOLD`` in absolute value.
@@ -126,6 +156,7 @@ Returned block values always come from the cone projection (exactly PSD);
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -150,6 +181,8 @@ STALL_DUAL_GROWTH = 0.01        # required |u| growth per window, in units of
 UNBOUNDED_THRESHOLD = 1e12
 ANDERSON_MEMORY = 8
 ANDERSON_REGULARIZATION = 1e-10  # relative Tikhonov weight of the least-squares fit
+FARKAS_EIG_TOL = 1e-9           # Farkas test: lambda_min(A^T y) floor at |A^T y| = 1
+FARKAS_RHS_TOL = 1e-6           # Farkas test: b^T y ceiling -FARKAS_RHS_TOL
 
 
 @dataclass(frozen=True)
@@ -204,6 +237,13 @@ def _max_total_dim() -> int:
         raise InputError(f"{SDP_DIM_ENV_VAR} must be an integer, got {env!r}")
 
 
+def _trace_bound(rhs: float, lam: float) -> float:
+    """For y with b^T y = rhs < 0 and A^T y >= lam * I: every PSD Q with
+    A(Q) = b has b^T y = <A^T y, Q> >= lam * trace(Q), so trace(Q) >= rhs /
+    lam when lam < 0, and no such Q exists when lam >= 0."""
+    return float("inf") if lam >= 0.0 else rhs / lam
+
+
 @dataclass(frozen=True)
 class SdpSolution:
     status: str  # optimal | feasible | infeasible-detected | max-iterations
@@ -219,10 +259,27 @@ class SdpSolution:
     anderson_rejected: int = 0  # extrapolated points undone by the safeguard
     facial_reduction_dim: int = 0   # Gram rows/columns the presolve fixed at zero
     facial_reduction_rows: int = 0  # equality rows the presolve dropped
+    # A Farkas certificate y of the reduced, row-scaled system, scaled to
+    # |A^T y| = 1: b^T y and lambda_min(A^T y); None without one.
+    farkas_rhs: float | None = None
+    farkas_min_eigenvalue: float | None = None
+    # y in the original row order, unscaled, 0 on the rows the presolve
+    # dropped: with the original A, A^T y restricted to the Gram rows and
+    # columns the presolve kept is the certificate
+    farkas_y: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
         return self.status in ("optimal", "feasible")
+
+    @property
+    def farkas_trace_bound(self) -> float | None:
+        """The trace that every PSD solution of the reduced system would need,
+        by the Farkas certificate: inf when A^T y is exactly PSD, None without
+        a certificate."""
+        if self.farkas_rhs is None:
+            return None
+        return _trace_bound(self.farkas_rhs, self.farkas_min_eigenvalue)
 
     def diagnostics(self) -> dict:
         return {
@@ -238,6 +295,8 @@ class SdpSolution:
             "anderson_rejected": self.anderson_rejected,
             "facial_reduction_dim": self.facial_reduction_dim,
             "facial_reduction_rows": self.facial_reduction_rows,
+            "farkas_rhs": self.farkas_rhs,
+            "farkas_min_eigenvalue": self.farkas_min_eigenvalue,
         }
 
 
@@ -295,6 +354,12 @@ class _BlockLayout:
             )
             cls = self.classes[-1]
             self.diagonal[cls.segments[:, cls.diagonal]] = True
+        # layouts are shared through ``_layout``: nothing may write to them
+        self.diagonal.flags.writeable = False
+        for cls in self.classes:
+            for arr in vars(cls).values():
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
 
     def _stack(self, vec: np.ndarray, cls: _SizeClass) -> np.ndarray:
         return vec[cls.gather] / cls.unscale
@@ -339,6 +404,14 @@ class _BlockLayout:
             else:
                 worst = min(worst, float(np.linalg.eigvalsh(self._stack(vec, cls)).min()))
         return worst if np.isfinite(worst) else 0.0
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(block_sizes: tuple[int, ...]) -> _BlockLayout:
+    """The layout of ``block_sizes``, built once per distinct tuple: a
+    hierarchy solves many SDPs with the same blocks, and building the index
+    maps costs more than a hundred microseconds."""
+    return _BlockLayout(block_sizes)
 
 
 class _Anderson:
@@ -449,14 +522,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
             f"total SDP dimension {problem.total_dim} exceeds cap {cap} "
             f"(override via {SDP_DIM_ENV_VAR})"
         )
-    full = _BlockLayout(problem.block_sizes)
+    full = _layout(tuple(problem.block_sizes))
     c_full = np.zeros(full.total) if problem.objective is None else problem.objective
     face = _facial_reduction(full, problem.constraints, problem.rhs)
     if face is None:
         layout, a_mat, b, c_vec = full, problem.constraints, problem.rhs, c_full
         rows = np.arange(len(b))
     else:
-        layout = _BlockLayout(face.block_sizes)
+        layout = _layout(face.block_sizes)
         a_mat = problem.constraints[np.ix_(face.rows, face.columns)]
         b = problem.rhs[face.rows]
         c_vec = c_full[face.columns]
@@ -531,6 +604,23 @@ def solve(problem: SdpProblem) -> SdpSolution:
         aff = float(np.abs((a_hat @ z - b_hat) * row_scale).max()) if m else 0.0
         return gap, aff, float(np.abs(u).max()) if n else 0.0
 
+    def farkas_certificate(d):
+        """The Farkas candidate of the dual step d, checked: y, b^T y and
+        lambda_min(A^T y) of the reduced, row-scaled system at |A^T y| = 1,
+        or None when y fails the test."""
+        y = gram_pinv @ (a_hat @ d)
+        aty = a_hat.T @ y
+        norm = float(np.linalg.norm(aty))
+        if not norm > 0.0:
+            return None
+        rhs = float(b_hat @ y) / norm
+        if not rhs < -FARKAS_RHS_TOL:
+            return None
+        lam = layout.min_eigenvalue(aty / norm)
+        if lam < -FARKAS_EIG_TOL:
+            return None
+        return y / norm, rhs, lam
+
     best_res = np.inf
     last_improvement = 0
     u_norm_hist = np.zeros(STALL_WINDOW)  # trailing |u| ring buffer
@@ -580,54 +670,52 @@ def solve(problem: SdpProblem) -> SdpSolution:
     # must beat; if s was extrapolated, its stall sample (res, |u|, x) at
     # P(s), held until the safeguard has judged s, and in ``fallback`` the
     # plain point T(s_prev) to return to if s is undone.
-    anderson = _Anderson(n) if has_objective else None
+    anderson = _Anderson(n)
     s = np.zeros(n)
     safe_norm = np.inf
     held = None
     accepted = rejected = 0
+    farkas = None
 
     for it in range(1, MAX_ITERATIONS + 1):
         mu, x, t = plain_step(z, u)
-        if anderson is not None:
-            res_norm = float(np.linalg.norm(t - s))
-            if held is not None:
-                # Keep an extrapolated point only if its fixed-point residual
-                # beat the one of the point it came from.  Otherwise project
-                # the stored plain point, step from there, and let its
-                # sample stand in for the held one: the stall test never
-                # sees a point the safeguard undid.
-                res, u_norm, held_x = held
-                held = None
-                undone = not res_norm < safe_norm
-                if undone:
-                    rejected += 1
-                    anderson.reset()
-                    s = fallback
-                    z = layout.project_psd(s)
-                    u = s - z
-                    gap, aff, u_norm = measure(held_x, z, u)
-                    res = max(gap, aff)
-                else:
-                    accepted += 1
-                verdict = settle(it - 1, res, u_norm, z)
-                if verdict is not None:
-                    status, message = verdict
-                    iterations = it - 1
-                    break
-                if undone:
-                    mu, x, t = plain_step(z, u)
-                    res_norm = float(np.linalg.norm(t - s))
-            safe_norm = res_norm
-            s_next = anderson.extrapolate(s, t)
-        else:
-            s_next = None
+        res_norm = float(np.linalg.norm(t - s))
+        if held is not None:
+            # Keep an extrapolated point only if its fixed-point residual
+            # beat the one of the point it came from.  Otherwise project the
+            # stored plain point, step from there, and let its sample stand
+            # in for the held one: the stall test never sees a point the
+            # safeguard undid.
+            res, u_norm, held_x = held
+            held = None
+            undone = not res_norm < safe_norm
+            if undone:
+                rejected += 1
+                anderson.reset()
+                s = fallback
+                z = layout.project_psd(s)
+                u = s - z
+                gap, aff, u_norm = measure(held_x, z, u)
+                res = max(gap, aff)
+            else:
+                accepted += 1
+            verdict = settle(it - 1, res, u_norm, z)
+            if verdict is not None:
+                status, message = verdict
+                iterations = it - 1
+                break
+            if undone:
+                mu, x, t = plain_step(z, u)
+                res_norm = float(np.linalg.norm(t - s))
+        safe_norm = res_norm
+        s_next = anderson.extrapolate(s, t)
 
         # The next point is chosen before the one cone projection of the
         # iteration: the extrapolation if there is one, else the plain step.
         fallback = t
         s = t if s_next is None else s_next
         z_new = layout.project_psd(s)
-        u = s - z_new
+        u_prev, u = u, s - z_new
         gap, aff, u_norm = measure(x, z_new, u)
         step = float(np.abs(z_new - z).max()) if n else 0.0
         z = z_new
@@ -638,6 +726,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 status = "feasible"
                 iterations = it
                 break
+            if m and it % CERT_CHECK_EVERY == 0:
+                # On an infeasible problem the dual step u_prev - u tends to
+                # a PSD vector normal to the affine set, whose least-squares
+                # multiplier is then a Farkas certificate.  Whatever point
+                # the step came from, the test is on y alone.
+                farkas = farkas_certificate(u_prev - u)
+                if farkas is not None:
+                    status = "infeasible-detected"
+                    iterations = it
+                    break
         else:
             if aff <= STOP_TOL and gap <= STOP_TOL and step <= STOP_TOL:
                 status = "optimal"
@@ -672,6 +770,23 @@ def solve(problem: SdpProblem) -> SdpSolution:
     else:
         message = f"iteration cap reached with residual {best_res:.3e}"
 
+    farkas_fields = {}
+    if farkas is not None:
+        y, rhs, lam = farkas
+        y_full = np.zeros(len(problem.rhs))
+        y_full[rows] = y / row_scale
+        farkas_fields = {
+            "farkas_rhs": rhs, "farkas_min_eigenvalue": lam, "farkas_y": y_full,
+        }
+        shows = (
+            "no PSD solution exists" if lam >= 0.0
+            else f"every PSD solution has trace >= {_trace_bound(rhs, lam):.3e}"
+        )
+        message = (
+            f"Farkas certificate: b^T y = {rhs:.3e} with lambda_min(A^T y) = "
+            f"{lam:.3e} at |A^T y| = 1, so {shows}"
+        )
+
     if face is not None:
         # zero-pad back: the fixed Gram rows and columns are exactly zero
         z_face, z = z, np.zeros(full.total)
@@ -697,4 +812,5 @@ def solve(problem: SdpProblem) -> SdpSolution:
         anderson_accepted=accepted,
         anderson_rejected=rejected,
         **presolve_counts,
+        **farkas_fields,
     )

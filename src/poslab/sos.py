@@ -18,7 +18,11 @@ difference of two 1x1 PSD blocks (a = a_plus - a_minus), keeping the solver's
 problem class pure PSD-block form.
 
 A not-found outcome is always inconclusive: failure at level k never
-disproves membership in the untruncated cone.
+disproves membership in the untruncated cone.  An ``infeasible-detected``
+reason names its evidence about level k: exact (presolve or an inconsistent
+system), a Farkas certificate (a pseudo-moment functional that bounds the
+trace of every Gram certificate from below), or the solver's stall
+heuristic, which proves nothing.
 """
 
 from __future__ import annotations
@@ -203,6 +207,21 @@ def _certificate_from_blocks(
 # public operations
 
 
+def _infeasibility_evidence(solution: sdp.SdpSolution, level: int) -> str:
+    """What an ``infeasible-detected`` solve shows about the level-``level``
+    cone, by its evidence."""
+    if solution.iterations == 0:
+        return f"exact: the level-{level} SDP is infeasible, {solution.message}"
+    bound = solution.farkas_trace_bound
+    if bound is not None:
+        shows = (
+            "no Gram certificate exists" if bound == float("inf")
+            else f"every Gram certificate has total trace >= {bound:.3e}"
+        )
+        return f"Farkas certificate for level {level}: {shows}"
+    return f"stall heuristic, not a proof: {solution.message}"
+
+
 def _membership_search(
     problem: MembershipProblem, residual_tol: float
 ) -> MembershipResult:
@@ -250,8 +269,9 @@ def _membership_search(
         )
     if solution.status == "infeasible-detected":
         reason = (
-            "no representation found at this level; inconclusive "
-            "(SDP infeasible-detected, not a disproof)"
+            f"no representation found at level {level} "
+            f"({_infeasibility_evidence(solution, level)}); inconclusive: "
+            "nothing is proved about the untruncated cone"
         )
     else:
         reason = (
@@ -349,11 +369,12 @@ def lasserre_bound(
 
     Returns -inf (with a reason) when no finite bound exists at this level:
     the level is below deg f, the compiled SDP is reported
-    ``infeasible-detected`` (an infeasible equality system, or the solver's
-    stall heuristic, which is no proof), or the solver's certificate fails
-    independent verification (it stays in the result, with its report, for
-    diagnostics).  Only a solve that ends with ``max-iterations`` (the
-    iteration cap, or a diverging objective) raises SolverError.
+    ``infeasible-detected`` (exactly, by a Farkas certificate, or by the
+    solver's stall heuristic, which is no proof; the reason says which), or
+    the solver's certificate fails independent verification (it stays in the
+    result, with its report, for diagnostics).  Only a solve that ends with
+    ``max-iterations`` (the iteration cap, or a diverging objective) raises
+    SolverError.
     """
     if f.dimension != system.dimension:
         raise DimensionMismatchError(
@@ -415,8 +436,9 @@ def lasserre_bound(
             lower_bound=float("-inf"),
             certificate=None,
             reason=(
-                "no shift of the objective lies in the level-k cone "
-                "(SDP infeasible-detected)"
+                f"no shift of the objective found in the level-{level} cone "
+                f"({_infeasibility_evidence(solution, level)}); nothing is "
+                "proved about the untruncated cone"
             ),
             status=solution.status,
             solver=solution.diagnostics(),

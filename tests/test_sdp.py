@@ -260,10 +260,11 @@ def test_feasibility_form_projects_once_per_iteration(monkeypatch):
     calls = _count_projections(monkeypatch)
     sol = solve(_rank_two_feasibility_problem(6, 12, seed=4))
     assert sol.status == "feasible"
-    # measured before the loop projected only the point it moves to: any
-    # change to the plain (unaccelerated) path shows up here
-    assert sol.iterations == 52
-    assert len(calls) == sol.iterations
+    # The plain iteration took 52 iterations here; the accelerated one,
+    # which feasibility problems run too, takes 21.  Any change to the
+    # iteration shows up here.
+    assert sol.iterations == 21
+    assert len(calls) == sol.iterations + sol.anderson_rejected
 
 
 def test_stall_test_never_samples_undone_points(monkeypatch):
@@ -299,6 +300,73 @@ def test_stall_test_never_samples_undone_points(monkeypatch):
         plain.status, plain.iterations, plain.message
     )
     assert np.array_equal(undone.block_values[0], plain.block_values[0])
+
+
+def _svec_blocks(sizes, vec):
+    """The symmetric block matrices of a svec vector."""
+    mats = []
+    offset = 0
+    for s in sizes:
+        rows, cols = np.triu_indices(s)
+        weight = np.where(rows == cols, 1.0, np.sqrt(2.0))
+        seg = vec[offset : offset + rows.size] / weight
+        mat = np.zeros((s, s))
+        mat[rows, cols] = seg
+        mat[cols, rows] = seg
+        mats.append(mat)
+        offset += rows.size
+    return mats
+
+
+def test_farkas_certificate_holds_for_the_problem_as_given():
+    # the 2x2 determinant problem: Q11 = Q22 = 1 and Q12 = 2 is not PSD
+    problem = _problem(
+        (2,),
+        (
+            ((E11,), 1.0),
+            ((E22,), 1.0),
+            ((E12,), 2.0),
+        ),
+    )
+    sol = solve(problem)
+    assert sol.status == "infeasible-detected"
+    assert "Farkas certificate" in sol.message
+    assert sol.farkas_rhs < 0
+    assert sol.farkas_min_eigenvalue >= -1e-9
+    assert sol.farkas_trace_bound > 0
+    diag = sol.diagnostics()
+    assert diag["farkas_rhs"] == sol.farkas_rhs
+    assert diag["farkas_min_eigenvalue"] == sol.farkas_min_eigenvalue
+    assert "farkas_y" not in diag
+    # checked from y and the original (A, b) alone
+    y = sol.farkas_y
+    aty = problem.constraints.T @ y
+    assert problem.rhs @ y < 0
+    floor = -1e-9 * np.linalg.norm(aty)
+    for block in _svec_blocks(problem.block_sizes, aty):
+        assert np.linalg.eigvalsh(block)[0] >= floor
+
+
+def test_no_farkas_fields_without_a_certificate():
+    sol = solve(_rank_two_feasibility_problem(6, 12, seed=4))
+    assert sol.status == "feasible"
+    assert (sol.farkas_rhs, sol.farkas_min_eigenvalue, sol.farkas_y) == (None, None, None)
+    assert sol.farkas_trace_bound is None
+    opt = solve(_diagonal_constrained_problem(6, seed=6)).diagnostics()
+    assert (opt["farkas_rhs"], opt["farkas_min_eigenvalue"]) == (None, None)
+
+
+def test_layouts_are_cached_and_read_only():
+    from poslab.sdp import _layout
+
+    layout = _layout((3, 1, 3))
+    assert _layout((3, 1, 3)) is layout
+    arrays = [layout.diagonal] + [
+        a for c in layout.classes for a in vars(c).values() if isinstance(a, np.ndarray)
+    ]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 def _per_block_projection(sizes, vec):

@@ -235,6 +235,108 @@ def test_linear_form_is_exactly_not_a_sum_of_squares():
     assert res.solver["facial_reduction_dim"] == 2
 
 
+# Known non-members: 1 - x1^2 is negative on x1 >= 0 beyond 1, and the
+# Motzkin polynomial is nonnegative but not a sum of squares.
+NON_MEMBERS = {
+    "arch": (P("1 - x1^2"), SemialgebraicSystem(1, (P("x1"),)), 2),
+    "motzkin": (
+        P("x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2 + 1", 2), SemialgebraicSystem(2, ()), 6
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_MEMBERS))
+def test_non_members_end_on_a_farkas_certificate(name):
+    target, system, level = NON_MEMBERS[name]
+    res = module_membership(MembershipProblem(target, system, level))
+    assert not res.found
+    assert res.status == "infeasible-detected"
+    assert res.solver["iterations"] <= 100
+    assert res.solver["farkas_rhs"] < 0
+    assert res.solver["farkas_min_eigenvalue"] >= -1e-9
+    assert f"Farkas certificate for level {level}" in res.reason
+    assert "untruncated cone" in res.reason
+
+
+# A dense quartic negative at a feasible point of the unit box, so outside
+# every level of its quadratic module.
+NEGATIVE_ON_BOX = P(
+    "0.10715585400292066*x1^4 - 0.8149669837463638*x1^3*x2"
+    " - 2.4266612578357254*x1^2*x2^2 + 1.2576421243732154*x1*x2^3"
+    " + 0.008069298866344443*x2^4 - 0.15465239106204018*x1^3"
+    " - 1.3823542886501363*x1^2*x2 + 0.20723323175964448*x1*x2^2"
+    " + 0.5014709760140081*x2^3 + 1.1594081886073033*x1^2"
+    " - 0.5437424507119801*x1*x2 + 3.712530746428579*x2^2"
+    " - 2.449313203315182*x1 + 2.805202686989838*x2 - 1.2342012221198266",
+    2,
+)
+
+
+def test_farkas_certificate_checks_against_the_compiled_problem():
+    from poslab.sdp import _BlockLayout
+    from poslab.sos import _compile, _generator_blocks
+
+    system = box_system(2)
+    assert grid_min(NEGATIVE_ON_BOX, system, GridSpec(41)).minimum_value < 0
+    blocks = _generator_blocks(system, 4, QUADRATIC_MODULE)
+    problem = _compile(NEGATIVE_ON_BOX, system, 4, blocks, bound_scalar=False)
+    sol = sdp.solve(problem)
+    assert sol.status == "infeasible-detected"
+    assert sol.facial_reduction_dim == 0
+    # y is a pseudo-moment functional: checked from y and (A, b) alone
+    y = sol.farkas_y
+    aty = problem.constraints.T @ y
+    assert problem.rhs @ y < 0
+    floor = -1e-9 * np.linalg.norm(aty)
+    for block in _BlockLayout(problem.block_sizes).unpack(aty):
+        assert np.linalg.eigvalsh(block)[0] >= floor
+
+
+def test_infeasible_reason_names_its_evidence(monkeypatch):
+    target, system, level = NON_MEMBERS["arch"]
+    exact = lasserre_bound(P("x1"), SemialgebraicSystem(1, ()), 2)
+    assert exact.status == "infeasible-detected"
+    assert "(exact: the level-2 SDP is infeasible" in exact.reason
+    assert "untruncated cone" in exact.reason
+    # without the Farkas stop the stall test ends the run, which proves nothing
+    monkeypatch.setattr(sdp, "FARKAS_RHS_TOL", np.inf)
+    stalled = module_membership(MembershipProblem(target, system, level))
+    assert stalled.status == "infeasible-detected"
+    assert stalled.solver["farkas_rhs"] is None
+    assert "stall heuristic, not a proof" in stalled.reason
+    assert "inconclusive" in stalled.reason
+
+
+# A sum of two squares of dense quadratics in three variables, so its Gram
+# matrix over the degree-2 basis has rank 2 of 10.  The plain feasibility
+# iteration ended it in a false infeasible-detected.
+DENSE_RANK_TWO = P(
+    "4.133005000000001*x1^4 - 6.2080459999999995*x1^3*x2 - 5.254708*x1^3*x3"
+    " + 10.914785*x1^2*x2^2 + 3.7634399999999997*x1^2*x2*x3"
+    " + 3.646367999999999*x1^2*x3^2 - 7.21516*x1*x2^3"
+    " - 8.489215999999999*x1*x2^2*x3 - 5.498659999999999*x1*x2*x3^2"
+    " - 0.5897120000000002*x1*x3^3 + 2.422432*x2^4 + 2.985848*x2^3*x3"
+    " + 5.206848999999999*x2^2*x3^2 + 3.369792*x2*x3^3 + 1.5613599999999999*x3^4"
+    " - 3.640918*x1^3 + 3.7191019999999995*x1^2*x2 - 3.6158*x1^2*x3"
+    " - 0.5267399999999997*x1*x2^2 + 1.3164120000000001*x1*x2*x3"
+    " + 1.8801960000000004*x1*x3^2 - 1.4700800000000003*x2^3 - 4.389572*x2^2*x3"
+    " - 0.8971539999999996*x2*x3^2 - 0.3792319999999998*x3^3 + 2.007701*x1^2"
+    " - 1.096596*x1*x2 + 1.672812*x1*x3 + 1.5409520000000003*x2^2"
+    " + 1.1019040000000002*x2*x3 + 3.0996810000000004*x3^2 - 0.745928*x1"
+    " - 0.45244000000000006*x2 - 0.4074440000000001*x3 + 0.16714",
+    3,
+)
+
+
+def test_dense_rank_deficient_sum_of_squares_is_found():
+    res = module_membership(
+        MembershipProblem(DENSE_RANK_TWO, SemialgebraicSystem(3, ()), 4)
+    )
+    assert res.found
+    assert res.status == "feasible"
+    assert verify(res.certificate, DENSE_RANK_TWO).passed
+
+
 # ----------------------------------------------------------------------
 # preordering membership
 
