@@ -184,8 +184,8 @@ def lifting_transform(
     f: Polynomial, system: SemialgebraicSystem, lam: float, k: int
 ) -> Polynomial:
     """h = f - lam * sum_i (g_i - 1)^(2k) g_i, expanded exactly."""
-    if lam < 0:
-        raise InputError(f"lam must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:  # NaN fails it too
+        raise InputError(f"lam must be finite and >= 0, got {lam}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if f.dimension != system.dimension:
@@ -267,8 +267,11 @@ def lifting_parameters(
 ) -> LiftingParameters:
     """L = d^2 n^(d-1) ||f||/f*, lam = c1 d^2 n^(d-1) ||f|| L^c2, and the
     smallest k with 2k+1 >= c0 (1 + L^c0), plus the observed min of h."""
-    if min(c0, c1, c2) <= 0:
-        raise InputError("lifting constants c0, c1, c2 must be positive")
+    for name, value in (("c0", c0), ("c1", c1), ("c2", c2)):
+        if not 0 < value < math.inf:  # NaN fails it too
+            raise InputError(
+                f"lifting constant {name} must be finite and positive, got {value}"
+            )
     d = f.degree
     if d < 1:
         raise InputError("lifting parameters need a nonconstant objective")
@@ -282,12 +285,33 @@ def lifting_parameters(
     n = float(f.dimension)
     norm_f = weighted_norm(f)
     big_l = d**2 * n ** (d - 1) * norm_f / f_star
-    lam = c1 * d**2 * n ** (d - 1) * norm_f * big_l**c2
-    k = max(1, math.ceil((c0 * (1.0 + big_l**c0) - 1.0) / 2.0 - 1e-9))
+    try:
+        lam = c1 * d**2 * n ** (d - 1) * norm_f * big_l**c2
+    except OverflowError:
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise InputError(
+            f"lambda = c1 d^2 n^(d-1) ||f|| L^c2 overflows at L = {big_l}, "
+            f"c1 = {c1}, c2 = {c2}"
+        )
+    try:
+        k_real = (c0 * (1.0 + big_l**c0) - 1.0) / 2.0 - 1e-9
+    except OverflowError:
+        k_real = math.inf
+    if not math.isfinite(k_real):
+        raise CapacityError(
+            f"the lifting level k from c0 (1 + L^c0) overflows at c0 = {c0}"
+        )
+    k = max(1, math.ceil(k_real))
     box = spec.resolved_box(system.dimension)
     pts = grid_points(box, spec.points_per_axis)
     h = lifting_transform(f, system, lam, k)
     empirical = float(np.min(h.evaluate_many(pts)))
+    if not math.isfinite(empirical):
+        raise InputError(
+            f"the lifted polynomial overflows on the grid (min h = {empirical}) "
+            f"at lambda = {lam}"
+        )
     return LiftingParameters(
         L=big_l, lam=lam, k=k, c0=c0, c1=c1, c2=c2, empirical_min_h=empirical
     )
@@ -322,6 +346,61 @@ class LojasiewiczFit:
         }
 
 
+def _feasible_distances(
+    xs: np.ndarray,
+    pts: np.ndarray,
+    mask: np.ndarray,
+    points_per_axis: int,
+    box: tuple[tuple[float, float], ...],
+) -> np.ndarray:
+    """Distance from each row of ``xs`` to the nearest feasible grid point.
+
+    ``pts`` is ``grid_points(box, points_per_axis)`` and ``mask`` flags its
+    feasible rows.  A sample is compared with two sets of feasible points
+    only: the boundary ones (with an infeasible neighbour along some axis)
+    and those among the 3^n grid points around the sample's rounded grid
+    index.  Nothing nearer is missed.  Suppose a nearest feasible point p is
+    in neither set.  Then every axis neighbour of p is feasible, and on some
+    axis i the index of p is two or more steps from the rounded index, so
+    x_i lies more than a cell beyond p_i.  The neighbour q of p toward x on
+    that axis has |x_i - q_i| < |x_i - p_i| and the same other coordinates;
+    rounding is monotone, so its computed distance is no larger and q is a
+    nearest point too.  Such steps approach the sample's cell and end in one
+    of the two sets.  Each pair is computed with the same expression as a
+    sweep over all feasible points, so the result is bit-identical to that
+    sweep, at the cost of the boundary instead of the whole feasible set.
+    """
+    n = pts.shape[1]
+    shape = (points_per_axis,) * n
+    grid_mask = mask.reshape(shape)
+    interior = grid_mask.copy()
+    for axis in range(n):
+        head = tuple(slice(None, -1) if j == axis else slice(None) for j in range(n))
+        tail = tuple(slice(1, None) if j == axis else slice(None) for j in range(n))
+        interior[tail] &= grid_mask[head]
+        interior[head] &= grid_mask[tail]
+    boundary = pts[(grid_mask & ~interior).reshape(-1)]
+
+    lo = np.array([b[0] for b in box])
+    cell = np.array([hi - lo for lo, hi in box]) / (points_per_axis - 1)
+    nearest = np.clip(np.rint((xs - lo) / cell), 0, points_per_axis - 1).astype(np.intp)
+    offsets = np.indices((3,) * n).reshape(n, -1).T - 1  # (3^n, n)
+
+    dist = np.empty(xs.shape[0])
+    chunk = 256
+    for start in range(0, xs.shape[0], chunk):
+        block = xs[start : start + chunk]
+        idx = nearest[start : start + chunk, None, :] + offsets[None, :, :]
+        on_grid = np.all((idx >= 0) & (idx < points_per_axis), axis=2)
+        flat = np.ravel_multi_index(tuple(np.moveaxis(idx, 2, 0)), shape, mode="clip")
+        d2_near = np.sum((block[:, None, :] - pts[flat]) ** 2, axis=2)
+        d2_near[~(on_grid & mask[flat])] = np.inf
+        d2_edge = np.sum((block[:, None, :] - boundary[None, :, :]) ** 2, axis=2)
+        d2 = np.minimum(d2_near.min(axis=1), d2_edge.min(axis=1, initial=np.inf))
+        dist[start : start + chunk] = np.sqrt(d2)
+    return dist
+
+
 def lojasiewicz_estimate(
     system: SemialgebraicSystem,
     grid: GridSpec | None = None,
@@ -331,12 +410,25 @@ def lojasiewicz_estimate(
 ) -> LojasiewiczFit:
     """Estimate the exponent relating constraint violation to distance.
 
-    Draws infeasible points uniformly from the box, approximates dist(x, S)
-    by the distance to the nearest feasible grid point, and fits
+    Draws infeasible points uniformly from the box (``samples`` >= 1 of
+    them, from ``seed`` >= 0), approximates dist(x, S) by the distance to
+    the nearest feasible grid point, and fits
     log(-min g_i) >= c2 log dist - log c3 by least squares on the lower
     envelope of the log-log cloud (per-bin minima of the violation).  c3 is
     then inflated so every sample satisfies the inequality exactly.
+
+    The nearest feasible grid point is searched among the boundary feasible
+    points (those with an infeasible axis neighbour) and the 3^n grid points
+    around the sample only: a nearest point that is in neither set has a
+    feasible neighbour at least as close, and stepping so ends in one of
+    them (see ``_feasible_distances``).  The distances, and so every output,
+    are bit-identical to comparing each sample with every feasible grid
+    point, while the work and the temporaries scale with the boundary.
     """
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     spec = grid or GridSpec.default_for(system.dimension)
     box = spec.resolved_box(system.dimension)
     pts = grid_points(box, spec.points_per_axis)
@@ -349,7 +441,6 @@ def lojasiewicz_estimate(
         raise DegenerateFitError(
             "every grid point is feasible: no infeasible region to sample"
         )
-    feas_pts = pts[mask]
     widths = np.array([hi - lo for lo, hi in box])
     cell = widths / (spec.points_per_axis - 1)
     dist_error = 0.5 * float(np.linalg.norm(cell))
@@ -380,12 +471,7 @@ def lojasiewicz_estimate(
     xs = np.concatenate(collected_x)[:samples]
     violation = np.concatenate(collected_v)[:samples]
 
-    dist = np.empty(xs.shape[0])
-    chunk = 256
-    for start in range(0, xs.shape[0], chunk):
-        block = xs[start : start + chunk]
-        d2 = np.sum((block[:, None, :] - feas_pts[None, :, :]) ** 2, axis=2)
-        dist[start : start + chunk] = np.sqrt(d2.min(axis=1))
+    dist = _feasible_distances(xs, pts, mask, spec.points_per_axis, box)
     keep = dist > 0.0
     dist = dist[keep]
     violation = violation[keep]

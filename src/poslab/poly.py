@@ -228,20 +228,30 @@ class Polynomial:
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (N, n) array of points.
 
-        Terms accumulate in the same graded lex order as ``evaluate``, so the
-        result is bit-reproducible for identical inputs.
+        Each power ``pts[:, i] ** a`` is computed once per call, when the
+        first term needs it, and reused by every later term.  A term is its
+        coefficient times its powers, multiplied left to right over the
+        variables, and the terms accumulate in the same graded lex order as
+        ``evaluate``.  That is the arithmetic of evaluating term by term, so
+        the result is bit-identical to it (and bit-reproducible for identical
+        inputs); only the repeated powers are gone.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise DimensionMismatchError(
                 f"points must have shape (N, {self.dimension}), got {pts.shape}"
             )
+        powers: dict[tuple[int, int], np.ndarray] = {}
         total = np.zeros(pts.shape[0])
+        term = np.empty(pts.shape[0])
         for alpha, coef in self.terms():
-            term = np.full(pts.shape[0], coef)
+            term.fill(coef)
             for i, a in enumerate(alpha):
                 if a:
-                    term *= pts[:, i] ** a
+                    power = powers.get((i, a))
+                    if power is None:
+                        power = powers[(i, a)] = pts[:, i] ** a
+                    term *= power
             total += term
         return total
 

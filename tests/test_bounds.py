@@ -146,6 +146,9 @@ def test_lifting_validates_arguments():
         lifting_transform(P("x1"), interval_system(), -1.0, 1)
     with pytest.raises(InputError):
         lifting_transform(P("x1"), interval_system(), 1.0, 0)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            lifting_transform(P("x1"), interval_system(), lam, 1)
 
 
 def test_lifting_degree_capacity():
@@ -239,6 +242,23 @@ def test_lifting_parameters_k_arithmetic():
 def test_lifting_parameters_validate_constants():
     with pytest.raises(InputError):
         lifting_parameters(P("x1 + 2"), interval_system(), 0.0, 1.0, 1.0)
+    for bad in (math.nan, math.inf, -1.0):
+        for position in range(3):
+            constants = [1.0, 1.0, 1.0]
+            constants[position] = bad
+            with pytest.raises(InputError, match=f"c{position}"):
+                lifting_parameters(P("x1 + 2"), interval_system(), *constants)
+
+
+def test_lifting_parameters_reject_overflow():
+    spec = GridSpec(101, refinement_rounds=0)
+    f, s = P("x1 + 2"), interval_system()
+    with pytest.raises(InputError, match="lambda"):
+        lifting_parameters(f, s, 1.0, 1e308, 1.0, spec)  # lambda = inf
+    with pytest.raises(InputError, match="lambda"):
+        lifting_parameters(f, s, 1.0, 1.0, 1e308, spec)  # L^c2 overflows
+    with pytest.raises(CapacityError):
+        lifting_parameters(f, s, 1e308, 1.0, 1.0, spec)  # k overflows
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +318,67 @@ def test_lojasiewicz_deterministic_given_seed():
     a = lojasiewicz_estimate(sys1, GridSpec(101), samples=500, seed=9)
     b = lojasiewicz_estimate(sys1, GridSpec(101), samples=500, seed=9)
     assert a == b
+
+
+def _distances_by_sweep(xs, feasible_points):
+    # the reference: every sample against every feasible grid point
+    d2 = np.sum((xs[:, None, :] - feasible_points[None, :, :]) ** 2, axis=2)
+    return np.sqrt(d2.min(axis=1))
+
+
+def _single_point(pts):
+    mask = np.zeros(len(pts), dtype=bool)
+    mask[len(pts) // 3] = True
+    return mask
+
+
+NEAREST_FEASIBLE_SETS = {
+    "box": lambda p: np.all(np.abs(p - 0.1) <= 0.45, axis=1),
+    "ball": lambda p: np.sum(p**2, axis=1) <= 0.6,
+    "annulus": lambda p: (np.sum(p**2, axis=1) <= 0.8)
+    & (np.sum(p**2, axis=1) >= 0.3),
+    "two disjoint boxes": lambda p: np.all(np.abs(p - 0.55) <= 0.3, axis=1)
+    | np.all(np.abs(p + 0.6) <= 0.25, axis=1),
+    "single point": _single_point,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAREST_FEASIBLE_SETS))
+@pytest.mark.parametrize(
+    "box, ppa",
+    [
+        (((-1.0, 1.0),), 41),
+        (((-1.0, 1.0), (-1.3, 0.9)), 23),
+        (((-1.1, 1.0), (-1.0, 1.2), (-0.9, 1.0)), 11),
+    ],
+)
+def test_feasible_distances_bit_identical_to_sweep(name, box, ppa):
+    from poslab.bounds import _feasible_distances
+
+    pts = grid_points(box, ppa)
+    mask = NEAREST_FEASIBLE_SETS[name](pts)
+    assert mask.any() and not mask.all()
+    lo = np.array([b[0] for b in box])
+    hi = np.array([b[1] for b in box])
+    cell = (hi - lo) / (ppa - 1)
+    rng = np.random.default_rng(ppa)
+    corner = rng.integers(0, ppa - 1, size=(300, len(box)))
+    xs = np.concatenate([
+        rng.uniform(lo, hi, size=(700, len(box))),
+        pts[rng.integers(0, len(pts), size=200)],  # on grid points
+        lo + (corner + 0.5) * cell,  # on half-cell midpoints
+        np.array([lo, hi]),  # box corners
+    ])
+    got = _feasible_distances(xs, pts, mask, ppa, box)
+    assert np.array_equal(got, _distances_by_sweep(xs, pts[mask]))
+
+
+def test_lojasiewicz_estimate_rejects_bad_sample_count_and_seed():
+    disk = SemialgebraicSystem(2, (P("0.5 - x1^2 - x2^2"),))
+    with pytest.raises(InputError, match="samples"):
+        lojasiewicz_estimate(disk, GridSpec(21), samples=0, seed=1)
+    with pytest.raises(InputError, match="seed"):
+        lojasiewicz_estimate(disk, GridSpec(21), samples=10, seed=-1)
 
 
 # ----------------------------------------------------------------------

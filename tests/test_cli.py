@@ -54,18 +54,38 @@ def test_solve_failed_verification_exits_2(tmp_path, interval_problem):
     assert data["verification"]["pass"] is False
 
 
-def test_solver_counters_in_payloads(tmp_path, interval_problem, shifted_problem):
+def test_solver_counters_in_payloads(tmp_path, monkeypatch, interval_problem):
+    from poslab.sdp import _Anderson
+
     out = tmp_path / "sol.json"
     assert main(["solve", "--input", interval_problem, "--level", "2",
                  "--output", str(out)]) == 0
     solver = json.loads(out.read_text())["solver"]
     assert solver["anderson_accepted"] > 0
     assert isinstance(solver["anderson_rejected"], int)
-    assert main(["certify", "--input", shifted_problem, "--level", "2",
+
+    # A feasibility solve (41 iterations) that fills the memory of 8 steps
+    # and extrapolates; record which iterations did.
+    made = []
+    extrapolate = _Anderson.extrapolate
+
+    def recording(self, s, t):
+        point = extrapolate(self, s, t)
+        made.append(point is not None)
+        return point
+
+    monkeypatch.setattr(_Anderson, "extrapolate", recording)
+    path = write_problem(tmp_path / "c.json", 1, "x1 + 1.02", ["1 - x1^2"])
+    assert main(["certify", "--input", path, "--level", "8",
                  "--output", str(out)]) == 0
     solver = json.loads(out.read_text())["solver"]
-    assert solver["anderson_accepted"] == 0
-    assert solver["anderson_rejected"] == 0
+    assert solver["status"] == "feasible"
+    assert solver["anderson_accepted"] > 0
+    assert solver["anderson_rejected"] > 0
+    # each extrapolated point is judged by the next iteration, except the
+    # one the run stopped on
+    assert len(made) == solver["iterations"]
+    assert solver["anderson_accepted"] + solver["anderson_rejected"] == sum(made[:-1])
 
 
 def test_solve_level_below_degree_exits_2(tmp_path):
@@ -240,6 +260,33 @@ def test_bounds_rejects_nan_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["lift", "--lambda", "nan"], "lam"),
+        (["lift", "--lambda", "inf"], "lam"),
+        (["lift", "--c1", "nan"], "c1"),
+        (["lift", "--c2", "inf"], "c2"),
+        (["lift", "--c1", "1e308"], "lambda"),
+        (["lift", "--c0", "nan"], "c0"),
+        (["lift", "--c0", "1e308"], "c0"),
+        (["estimate", "--seed", "-1"], "seed"),
+        (["estimate", "--samples", "0"], "samples"),
+    ],
+)
+def test_lift_and_estimate_reject_bad_numbers(tmp_path, capsys, argv, named):
+    # a problem on which both commands succeed with their defaults
+    path = write_problem(tmp_path / "p.json", 1, "x1 + 2", ["0.25 - x1^2"])
+    out = tmp_path / "out.json"
+    assert main(argv + ["--input", path, "--grid", "101", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert not out.exists()
+
+
 def test_converge_gap_bound_column_applicable(tmp_path, shifted_problem):
     # with c = 0.05 the validity threshold c*exp((2 d^2 n^d)^c) is tiny,
     # so the column is numeric rather than NA
@@ -318,6 +365,29 @@ def test_estimate_cubic_exponent(tmp_path):
     fit = json.loads(out.read_text())["fit"]
     assert abs(fit["c2_exponent"] - 3.0) <= 0.1
     assert fit["max_violation"] == 0.0
+
+
+def test_estimate_and_lift_outputs_pinned(tmp_path):
+    # Payload floats recorded before the grid oracle was sped up (one power
+    # table per evaluate_many, boundary-only nearest-point search); a
+    # refactor of that layer must reproduce them exactly, not approximately.
+    disk = write_problem(tmp_path / "e.json", 2, "x1 + 3", ["0.5 - x1^2 - x2^2"])
+    out = tmp_path / "out.json"
+    assert main(["estimate", "--input", disk, "--grid", "41", "--samples", "500",
+                 "--seed", "3", "--output", str(out)]) == 0
+    fit = json.loads(out.read_text())["fit"]
+    assert fit["c2_exponent"] == 1.8122091785842014
+    assert fit["c3_scale"] == 2.7251016742378047
+    assert fit["sample_count"] == 500
+
+    square = write_problem(tmp_path / "l.json", 2, "x1^2 + x2^2 + x1 + 1",
+                           ["1 - x1^2", "1 - x2^2"])
+    assert main(["lift", "--input", square, "--grid", "21", "--lambda", "20",
+                 "--k-max", "12", "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["parameters"]["empirical_min_h"] == -0.8665598608393879
+    assert data["parameters"]["k"] == 6
+    assert data["search"]["empirical_k"] == 5
 
 
 def test_estimate_degenerate_exits_1(tmp_path):

@@ -99,6 +99,35 @@ def test_evaluate_many_matches_scalar():
             assert vec[i] == pytest.approx(f.evaluate(pts[i]), abs=1e-12)
 
 
+def _evaluate_term_by_term(f: Polynomial, pts: np.ndarray) -> np.ndarray:
+    # the reference: every term recomputes its powers
+    total = np.zeros(pts.shape[0])
+    for alpha, coef in f.terms():
+        term = np.full(pts.shape[0], coef)
+        for i, a in enumerate(alpha):
+            if a:
+                term *= pts[:, i] ** a
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluate_many_bit_identical_to_term_by_term(n):
+    rng = np.random.default_rng(100 + n)
+    for degree in range(13):
+        f = random_polynomial(rng, n, degree, max_terms=40)
+        # zeros and negative zeros show a wrong sign or a missed term
+        pts = rng.uniform(-1.3, 1.3, size=(257, n))
+        pts[:3] = 0.0
+        pts[3:6] = -0.0
+        # row-major, as grid points are (strided columns), and column-major
+        for layout in (pts, np.asfortranarray(pts)):
+            got = f.evaluate_many(layout)
+            want = _evaluate_term_by_term(f, layout)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # ----------------------------------------------------------------------
 # weighted norm
 

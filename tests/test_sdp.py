@@ -206,21 +206,6 @@ def test_anderson_counters_on_optimization_form():
     assert diag["anderson_accepted"] + diag["anderson_rejected"] < sol.iterations
 
 
-def test_anderson_counters_zero_on_feasibility_form():
-    problem = _problem(
-        (3, 1),
-        (
-            ((np.eye(3), None), 2.0),
-            ((np.diag([1.0, -1.0, 0.0]), np.array([[1.0]])), 0.5),
-        ),
-    )
-    sol = solve(problem)
-    assert sol.status == "feasible"
-    diag = sol.diagnostics()
-    assert diag["anderson_accepted"] == 0
-    assert diag["anderson_rejected"] == 0
-
-
 def _count_projections(monkeypatch):
     from poslab.sdp import _BlockLayout
 
@@ -265,6 +250,32 @@ def test_feasibility_form_projects_once_per_iteration(monkeypatch):
     # iteration shows up here.
     assert sol.iterations == 21
     assert len(calls) == sol.iterations + sol.anderson_rejected
+
+
+def test_anderson_counters_on_feasibility_form(monkeypatch):
+    # Feasibility problems run the same accelerated loop.  This solve is
+    # long enough (239 iterations) to fill the memory of 8 steps, extrapolate
+    # and have the safeguard both keep and undo points.
+    from poslab.sdp import _Anderson
+
+    made = []
+    extrapolate = _Anderson.extrapolate
+
+    def recording(self, s, t):
+        point = extrapolate(self, s, t)
+        made.append(point is not None)
+        return point
+
+    monkeypatch.setattr(_Anderson, "extrapolate", recording)
+    sol = solve(_rank_two_feasibility_problem(5, 8, seed=3))
+    assert sol.status == "feasible"
+    diag = sol.diagnostics()
+    assert diag["anderson_accepted"] > 0
+    assert diag["anderson_rejected"] > 0
+    # each extrapolated point is judged by the next iteration, except the
+    # one the run stopped on
+    assert len(made) == sol.iterations
+    assert diag["anderson_accepted"] + diag["anderson_rejected"] == sum(made[:-1])
 
 
 def test_stall_test_never_samples_undone_points(monkeypatch):
