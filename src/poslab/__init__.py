@@ -28,6 +28,7 @@ from .certificate import (
     QUADRATIC_MODULE,
     Certificate,
     CertificateEntry,
+    DisproofReport,
     VerificationReport,
     certificate_from_dict,
     certificate_to_dict,
@@ -37,6 +38,7 @@ from .certificate import (
     round_psd,
     save_certificate,
     verify,
+    verify_disproof,
 )
 from .errors import (
     CapacityError,

@@ -180,6 +180,28 @@ class LiftingParameters:
         }
 
 
+def _lifted_degree(f: Polynomial, system: SemialgebraicSystem, k: int) -> int:
+    """Degree that lifting_transform(f, system, lam, k) expands to, lam != 0."""
+    return max([f.degree] + [(2 * k + 1) * g.degree for g in system.constraints])
+
+
+def lifting_k_max(
+    f: Polynomial, system: SemialgebraicSystem, lam: float, k_max: int
+) -> int:
+    """The largest k <= k_max whose lifted degree fits ``LIFT_DEGREE_CAP``.
+
+    k_max itself when lam == 0 (nothing is expanded) or every k fits; never
+    below 1, so a problem that does not fit even at k = 1 still reaches
+    lifting_transform's CapacityError."""
+    while (
+        lam != 0.0
+        and k_max > 1
+        and _lifted_degree(f, system, k_max) > LIFT_DEGREE_CAP
+    ):
+        k_max -= 1
+    return k_max
+
+
 def lifting_transform(
     f: Polynomial, system: SemialgebraicSystem, lam: float, k: int
 ) -> Polynomial:
@@ -193,13 +215,10 @@ def lifting_transform(
     h = f
     if lam == 0.0:
         return h  # nothing gets expanded
-    worst = max(
-        ((2 * k + 1) * g.degree for g in system.constraints), default=0
-    )
-    if max(worst, f.degree) > LIFT_DEGREE_CAP:
+    degree = _lifted_degree(f, system, k)
+    if degree > LIFT_DEGREE_CAP:
         raise CapacityError(
-            f"lifted polynomial would have degree {max(worst, f.degree)} "
-            f"> cap {LIFT_DEGREE_CAP}"
+            f"lifted polynomial would have degree {degree} > cap {LIFT_DEGREE_CAP}"
         )
     one = Polynomial.constant(f.dimension, 1.0)
     for g in system.constraints:
@@ -235,7 +254,9 @@ def find_lifting_k(
     """Smallest k <= k_max with min h >= f*/2 (1 - 1e-6) over the grid box.
 
     f* comes from the grid oracle and must be positive; each g_i must stay
-    <= 1 on the box (checked on the grid).  None when no k works.
+    <= 1 on the box (checked on the grid).  The search stops early at
+    ``lifting_k_max``, the largest k whose lifted degree fits
+    ``LIFT_DEGREE_CAP``.  None when no k tried works.
     """
     spec = grid or GridSpec.default_for(system.dimension)
     box = spec.resolved_box(system.dimension)
@@ -248,7 +269,7 @@ def find_lifting_k(
             "needs f > 0 on the feasible set"
         )
     target = 0.5 * f_star * (1.0 - 1e-6)
-    for k in range(1, k_max + 1):
+    for k in range(1, lifting_k_max(f, system, lam, k_max) + 1):
         h = lifting_transform(f, system, lam, k)
         h_min = float(np.min(h.evaluate_many(pts)))
         if h_min >= target:

@@ -14,6 +14,7 @@ in the weighted coefficient norm, and check the Gram spectra.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import InputError, ParseError, RoundingError
 from .poly import (
     MonomialBasis,
     Polynomial,
+    evaluate_exact,
     format_polynomial,
     parse_polynomial,
     weighted_norm,
@@ -177,6 +179,65 @@ def verify(
         level=cert.level,
         passed=(residual <= residual_tol and min_eig >= -DEFAULT_PSD_TOL),
     )
+
+
+@dataclass(frozen=True)
+class DisproofReport:
+    """The exact check of a disproof: a point of S where the target is
+    negative.  ``value`` is the target there, the correctly rounded float of
+    its exact value (+-inf beyond the float range); ``reason`` names the
+    first failed condition ("" when the disproof holds)."""
+
+    point: tuple[float, ...]
+    value: float
+    passed: bool
+    reason: str
+
+    def to_dict(self) -> dict:
+        return {
+            "point": list(self.point),
+            "value": self.value,
+            "pass": self.passed,
+            "reason": self.reason,
+        }
+
+
+def _rounded(num: int, den: int) -> float:
+    """num / den correctly rounded, and +-inf beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def verify_disproof(
+    f: Polynomial, system: SemialgebraicSystem, point
+) -> DisproofReport:
+    """Check that ``point`` lies in S = {g_i >= 0} and that f(point) < 0.
+
+    Every member of every level of the quadratic module or the preordering
+    of the g_i is nonnegative on S, so a passed report proves that f is in
+    none of them.  The float coordinates and coefficients are exact dyadic
+    rationals and are evaluated as such (``poly.evaluate_exact``), so the
+    verdict has no tolerance."""
+    x = tuple(float(v) for v in point)
+    num, den = evaluate_exact(f, x)
+    value = _rounded(num, den)
+
+    def report(passed: bool, reason: str) -> DisproofReport:
+        return DisproofReport(point=x, value=value, passed=passed, reason=reason)
+
+    if num >= 0:
+        return report(False, f"the target is {value!r} >= 0 at the point")
+    for i, g in enumerate(system.constraints):
+        g_num, g_den = evaluate_exact(g, x)
+        if g_num < 0:
+            return report(
+                False,
+                f"g{i + 1} is {_rounded(g_num, g_den)!r} < 0 at the point, "
+                "which lies outside the feasible set",
+            )
+    return report(True, "")
 
 
 def round_psd(gram: np.ndarray, clip: float) -> np.ndarray:

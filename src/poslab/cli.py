@@ -33,6 +33,7 @@ from .certificate import (
     certificate_from_dict,
     certificate_to_dict,
     verify,
+    verify_disproof,
 )
 from .errors import (
     CapacityError,
@@ -151,25 +152,57 @@ def cmd_certify(args) -> int:
         result = sos.module_membership(mp, residual_tol=args.tol)
     else:
         result = sos.preordering_membership(mp, residual_tol=args.tol)
+    disproof = result.disproof
     payload = {
         "command": "certify",
         "mode": args.mode,
         "found": result.found,
+        "disproof": (
+            {"point": list(disproof.point), "value": disproof.value}
+            if disproof else None
+        ),
         **_result_fields(result),
     }
     _emit_json(payload, args.output)
     return EXIT_OK if result.found else EXIT_INCONCLUSIVE
 
 
+def _load_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ParseError(f"{what} file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} file is not valid JSON: {exc}")
+
+
+def _disproof_point(path: str) -> list[float]:
+    """The point of a disproof file: the ``disproof`` object of a
+    ``certify`` output."""
+    data = _load_json(path, "disproof")
+    point = data.get("point") if isinstance(data, dict) else None
+    if not isinstance(point, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in point
+    ):
+        raise ParseError('malformed disproof: "point" must be a list of numbers')
+    try:
+        return [float(v) for v in point]
+    except OverflowError:
+        raise ParseError("malformed disproof: a coordinate is beyond the float range")
+
+
 def cmd_verify(args) -> int:
     problem = _load(args)
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            cert = certificate_from_dict(json.load(fh))
-    except FileNotFoundError:
-        raise ParseError(f"certificate file not found: {args.certificate}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"certificate file is not valid JSON: {exc}")
+    if args.disproof is not None:
+        # re-checked from the problem alone; the value in the file is ignored
+        report = verify_disproof(
+            problem.objective, problem.system, _disproof_point(args.disproof)
+        )
+        fields = dict(report.to_dict(), value=_json_float(report.value))
+        _emit_json({"command": "verify", "disproof": fields}, args.output)
+        return EXIT_OK if report.passed else EXIT_VERIFICATION
+    cert = certificate_from_dict(_load_json(args.certificate, "certificate"))
     if cert.system.dimension != problem.dimension or tuple(
         cert.system.constraints
     ) != tuple(problem.system.constraints):
@@ -321,17 +354,21 @@ def cmd_lift(args) -> int:
     )
     payload = {"command": "lift", "parameters": params.to_dict()}
     if args.lam is not None:
+        # the k actually searched: --k-max cut to the lifting degree cap
+        k_max = bounds_mod.lifting_k_max(
+            problem.objective, problem.system, args.lam, args.k_max
+        )
         found = bounds_mod.find_lifting_k(
             problem.objective,
             problem.system,
             args.lam,
             grid=grid,
-            k_max=args.k_max,
+            k_max=k_max,
             feasibility_tol=problem.feasibility_tol,
         )
         payload["search"] = {
             "lambda": args.lam,
-            "k_max": args.k_max,
+            "k_max": k_max,
             "empirical_k": found,
             "found": found is not None,
         }
@@ -401,9 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("verify", help="check a certificate against a problem")
+    p = sub.add_parser(
+        "verify", help="check a certificate or a disproof against a problem"
+    )
     common(p, grid=False)
-    p.add_argument("--certificate", required=True, help="certificate JSON file")
+    evidence = p.add_mutually_exclusive_group(required=True)
+    evidence.add_argument("--certificate", help="certificate JSON file")
+    evidence.add_argument(
+        "--disproof", help="disproof JSON file (the disproof of a certify output)"
+    )
     p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     p.set_defaults(func=cmd_verify)
 

@@ -256,6 +256,42 @@ class Polynomial:
         return total
 
 
+def evaluate_exact(f: Polynomial, point: Iterable[float]) -> tuple[int, int]:
+    """f(point) exactly, as integers (numerator, denominator) with a
+    positive denominator.
+
+    A finite float is a dyadic rational, p / 2^e, and so is every product
+    and sum of them.  So the float coefficients and coordinates, read with
+    ``float.as_integer_ratio``, give the value with no rounding at all: its
+    sign is the sign of the numerator, and numerator / denominator (integer
+    true division) is the correctly rounded float.  Raises InputError on a
+    nonfinite coordinate."""
+    x = [float(v) for v in point]
+    if len(x) != f.dimension:
+        raise DimensionMismatchError(
+            f"point has length {len(x)}, expected {f.dimension}"
+        )
+    if not all(math.isfinite(v) for v in x):
+        raise InputError(f"point {x} is not finite")
+    # one power-of-two denominator for the point, one for the coefficients;
+    # the sum is exact, so the order of the terms does not matter
+    ratios = [v.as_integer_ratio() for v in x]
+    point_den = max((q for _, q in ratios), default=1)
+    nums = [p * (point_den // q) for p, q in ratios]
+    coefs = [(alpha, coef.as_integer_ratio()) for alpha, coef in f._terms.items()]
+    coef_den = max((q for _, (_, q) in coefs), default=1)
+    degree = f.degree
+    den_powers = [point_den**e for e in range(degree + 1)]
+    total = 0
+    for alpha, (p, q) in coefs:
+        term = p * (coef_den // q) * den_powers[degree - sum(alpha)]
+        for num, a in zip(nums, alpha):
+            if a:
+                term *= num**a
+        total += term
+    return total, coef_den * den_powers[degree]
+
+
 def _pruned(
     terms: dict[Monomial, float], tol: float = DEFAULT_PRUNE_TOL
 ) -> dict[Monomial, float]:

@@ -95,6 +95,17 @@ the same of the problem as given.  For a membership SDP, y is a truncated
 pseudo-moment functional (Lasserre's dual): PSD moment and localizing
 matrices, negative on the target.
 
+A caller that can read more from y passes ``solve`` a witness predicate.
+At each check, before the Farkas test, the loop computes y once and hands it
+to the predicate in the original row order, unscaled, with 0 on the rows the
+presolve dropped (the form of ``farkas_y``); the Farkas test then uses the
+same y.  A return value other than None ends the run as
+``infeasible-detected`` with a "disproof" message, and
+``SdpSolution.witness`` holds it.  The predicate alone vouches for what it
+accepts: ``sos`` uses it to read a point of the feasible set where the
+target is negative from y's first moments, and checks that point exactly.
+Optimization solves never call it.
+
 Presolve
 --------
 Before the loop, ``solve`` runs an exact partial facial reduction by
@@ -127,7 +138,7 @@ Statuses
     residual contract met (``feasible`` when the objective is zero): the
     equality residual is at most ``EQ_TOL``.
 ``infeasible-detected``
-    one of three kinds of evidence, which the message names:
+    one of four kinds of evidence, which the message names:
 
     * exact, at 0 iterations: a row the presolve leaves reading
       0 = b_i != 0, or an inconsistent equality system;
@@ -135,6 +146,8 @@ Statuses
       ``farkas_min_eigenvalue`` hold b^T y and lambda_min(A^T y) at
       |A^T y| = 1, ``farkas_y`` holds y, and the message gives the trace
       bound above;
+    * a value the caller's witness predicate accepted (feasibility problems
+      only, "disproof" in the message, ``witness`` holds the value);
     * the stall test, a heuristic and never a proof: the projection
       residual stalled above ``STALL_RESIDUAL`` for ``STALL_WINDOW``
       consecutive iterations, none of them improving it by a relative
@@ -267,6 +280,8 @@ class SdpSolution:
     # dropped: with the original A, A^T y restricted to the Gram rows and
     # columns the presolve kept is the certificate
     farkas_y: np.ndarray | None = None
+    # what the caller's witness predicate returned when it ended the run
+    witness: object | None = None
 
     @property
     def ok(self) -> bool:
@@ -514,8 +529,14 @@ def _facial_reduction(
     )
 
 
-def solve(problem: SdpProblem) -> SdpSolution:
-    """Solve the block SDP; see module docstring for the status contract."""
+def solve(problem: SdpProblem, witness=None) -> SdpSolution:
+    """Solve the block SDP; see module docstring for the status contract.
+
+    ``witness``, if given, is called on each Farkas candidate of a
+    feasibility solve, before the Farkas test, with y in the original row
+    order, unscaled and 0 on the rows the presolve dropped.  A return value
+    other than None ends the run as ``infeasible-detected`` and is kept in
+    ``SdpSolution.witness``; see *Farkas certificates*."""
     cap = _max_total_dim()
     if problem.total_dim > cap:
         raise CapacityError(
@@ -604,11 +625,17 @@ def solve(problem: SdpProblem) -> SdpSolution:
         aff = float(np.abs((a_hat @ z - b_hat) * row_scale).max()) if m else 0.0
         return gap, aff, float(np.abs(u).max()) if n else 0.0
 
-    def farkas_certificate(d):
-        """The Farkas candidate of the dual step d, checked: y, b^T y and
-        lambda_min(A^T y) of the reduced, row-scaled system at |A^T y| = 1,
-        or None when y fails the test."""
-        y = gram_pinv @ (a_hat @ d)
+    def as_given(y):
+        """y of the reduced, row-scaled system in the original row order,
+        unscaled, with 0 on the rows the presolve dropped."""
+        y_full = np.zeros(len(problem.rhs))
+        y_full[rows] = y / row_scale
+        return y_full
+
+    def farkas_certificate(y):
+        """The Farkas candidate y checked: y, b^T y and lambda_min(A^T y) of
+        the reduced, row-scaled system at |A^T y| = 1, or None when y fails
+        the test."""
         aty = a_hat.T @ y
         norm = float(np.linalg.norm(aty))
         if not norm > 0.0:
@@ -676,6 +703,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     held = None
     accepted = rejected = 0
     farkas = None
+    found = None
 
     for it in range(1, MAX_ITERATIONS + 1):
         mu, x, t = plain_step(z, u)
@@ -730,8 +758,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 # On an infeasible problem the dual step u_prev - u tends to
                 # a PSD vector normal to the affine set, whose least-squares
                 # multiplier is then a Farkas certificate.  Whatever point
-                # the step came from, the test is on y alone.
-                farkas = farkas_certificate(u_prev - u)
+                # the step came from, the tests are on y alone.
+                y = gram_pinv @ (a_hat @ (u_prev - u))
+                if witness is not None:
+                    found = witness(as_given(y))
+                    if found is not None:
+                        status = "infeasible-detected"
+                        iterations = it
+                        message = (
+                            "disproof: the witness accepted the Farkas "
+                            f"candidate of iteration {it}"
+                        )
+                        break
+                farkas = farkas_certificate(y)
                 if farkas is not None:
                     status = "infeasible-detected"
                     iterations = it
@@ -773,10 +812,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     farkas_fields = {}
     if farkas is not None:
         y, rhs, lam = farkas
-        y_full = np.zeros(len(problem.rhs))
-        y_full[rows] = y / row_scale
         farkas_fields = {
-            "farkas_rhs": rhs, "farkas_min_eigenvalue": lam, "farkas_y": y_full,
+            "farkas_rhs": rhs, "farkas_min_eigenvalue": lam,
+            "farkas_y": as_given(y),
         }
         shows = (
             "no PSD solution exists" if lam >= 0.0
@@ -813,4 +851,5 @@ def solve(problem: SdpProblem) -> SdpSolution:
         anderson_rejected=rejected,
         **presolve_counts,
         **farkas_fields,
+        witness=found,
     )

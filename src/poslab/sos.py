@@ -17,12 +17,24 @@ the level-k cone; the scalar a enters the constant-coefficient row as the
 difference of two 1x1 PSD blocks (a = a_plus - a_minus), keeping the solver's
 problem class pure PSD-block form.
 
-A not-found outcome is always inconclusive: failure at level k never
-disproves membership in the untruncated cone.  An ``infeasible-detected``
-reason names its evidence about level k: exact (presolve or an inconsistent
-system), a Farkas certificate (a pseudo-moment functional that bounds the
-trace of every Gram certificate from below), or the solver's stall
-heuristic, which proves nothing.
+Failure at level k never disproves membership in the untruncated cone, so
+a not-found outcome is inconclusive, with one exception: a disproof, a point
+x0 of the feasible set with f(x0) < 0.  Every member of every level is
+nonnegative on the feasible set, so such a point rules f out at all levels.
+The membership search looks for one in each Farkas candidate y of the
+solver, a truncated pseudo-moment functional: when y_0 > 0, its first
+moments x0_j = y_{e_j} / y_0 are the mean of the measure it would be if y
+were one.  Only ``certificate.verify_disproof``, which evaluates f(x0) and
+g_i(x0) exactly, accepts one (in integer arithmetic, which costs less here
+than a float evaluation through ``Polynomial``).  So a disproof depends on
+neither y nor the solver's tolerances nor the presolve, and it ends the
+solve at once.
+
+An ``infeasible-detected`` reason without a disproof names its evidence
+about level k: exact (presolve or an inconsistent system), a Farkas
+certificate (a pseudo-moment functional that bounds the trace of every Gram
+certificate from below), or the solver's stall heuristic, which proves
+nothing.
 """
 
 from __future__ import annotations
@@ -39,10 +51,12 @@ from .certificate import (
     QUADRATIC_MODULE,
     Certificate,
     CertificateEntry,
+    DisproofReport,
     VerificationReport,
     generator_polynomial,
     round_psd,
     verify,
+    verify_disproof,
 )
 from .errors import CapacityError, DimensionMismatchError, InputError, SolverError
 from .poly import MonomialBasis, Polynomial, monomial_basis
@@ -81,7 +95,9 @@ class MembershipProblem:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Outcome of a membership search; not-found is never a disproof."""
+    """Outcome of a membership search.  Not-found is inconclusive unless
+    ``disproof`` holds a point of the feasible set where the target is
+    negative, checked exactly: then the target is in no level of the cone."""
 
     found: bool
     certificate: Certificate | None
@@ -90,6 +106,7 @@ class MembershipResult:
     status: str
     verification: VerificationReport | None = None
     solver: dict | None = None
+    disproof: DisproofReport | None = None
 
 
 @dataclass(frozen=True)
@@ -203,6 +220,29 @@ def _certificate_from_blocks(
     return Certificate(mode=mode, system=system, entries=entries)
 
 
+def _disproof_witness(target: Polynomial, system: SemialgebraicSystem, level: int):
+    """The solver's witness predicate for a level-``level`` membership SDP:
+    the exact disproof at the first moments of a Farkas candidate y, or
+    None.  Rows of y follow ``monomial_basis(n, level)``, in graded lex
+    order: the constant first, then x1, ..., xn.  Below level 1 there are no
+    first moments."""
+    if level < 1:
+        return None
+    n = system.dimension
+
+    def witness(y: np.ndarray) -> DisproofReport | None:
+        if not y[0] > 0:
+            return None
+        x0 = y[1 : n + 1] / y[0]
+        if not np.isfinite(x0).all():
+            return None
+        report = verify_disproof(target, system, x0)
+        # a value past the float range would have no JSON form
+        return report if report.passed and np.isfinite(report.value) else None
+
+    return witness
+
+
 # ----------------------------------------------------------------------
 # public operations
 
@@ -239,7 +279,7 @@ def _membership_search(
         )
     blocks = _generator_blocks(system, level, problem.mode)
     sdp_problem = _compile(target, system, level, blocks, bound_scalar=False)
-    solution = sdp.solve(sdp_problem)
+    solution = sdp.solve(sdp_problem, _disproof_witness(target, system, level))
     if solution.ok:
         cert = _certificate_from_blocks(
             problem.mode, system, blocks, solution.block_values
@@ -267,7 +307,13 @@ def _membership_search(
             verification=report,
             solver=solution.diagnostics(),
         )
-    if solution.status == "infeasible-detected":
+    if solution.witness is not None:
+        reason = (
+            "disproof: the target is in no level of the cone, since it is "
+            f"{solution.witness.value!r} < 0 at a feasible point (checked "
+            "exactly; see disproof)"
+        )
+    elif solution.status == "infeasible-detected":
         reason = (
             f"no representation found at level {level} "
             f"({_infeasibility_evidence(solution, level)}); inconclusive: "
@@ -285,6 +331,7 @@ def _membership_search(
         level=level,
         status=solution.status,
         solver=solution.diagnostics(),
+        disproof=solution.witness,
     )
 
 

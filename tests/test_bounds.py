@@ -22,6 +22,7 @@ from poslab import (
     round_hypercube_degree,
     schmuedgen_degree_bound,
 )
+from poslab.bounds import LIFT_DEGREE_CAP, lifting_k_max
 from poslab.semialg import feasible_mask, grid_points
 
 P = parse_polynomial
@@ -185,6 +186,46 @@ def test_find_lifting_k_zero_lambda():
 def test_find_lifting_k_huge_lambda_not_found():
     spec = GridSpec(10_001, refinement_rounds=0)
     assert find_lifting_k(P("x1 + 2"), interval_system(), 1e6, spec, k_max=3) is None
+
+
+def test_find_lifting_k_stops_at_the_degree_cap(monkeypatch):
+    # k = 15 would lift the quadratic constraint to degree 62 > 60, so the
+    # default k_max = 20 search ends at k = 14, not found, without raising
+    tried = []
+    transform = lifting_transform
+
+    def recording(f, system, lam, k):
+        tried.append(k)
+        return transform(f, system, lam, k)
+
+    monkeypatch.setattr("poslab.bounds.lifting_transform", recording)
+    spec = GridSpec(10_001, refinement_rounds=0)
+    f = P("x1 + 2")
+    assert lifting_k_max(f, interval_system(), 1e6, 20) == 14
+    assert find_lifting_k(f, interval_system(), 1e6, spec) is None
+    assert tried == list(range(1, 15))
+    # a cubic constraint fits up to k = 9: (2*9 + 1) * 3 = 57
+    tried.clear()
+    cubic = SemialgebraicSystem(1, (P("1 - x1^2"), P("0.5 - 0.5*x1^3")))
+    assert lifting_k_max(f, cubic, 1e6, 20) == 9
+    assert find_lifting_k(f, cubic, 1e6, spec) is None
+    assert tried == list(range(1, 10))
+
+
+def test_lifting_k_max_matches_the_transform_cap():
+    # the bound is exactly where lifting_transform starts to raise
+    f = P("x1 + 2")
+    for system in (interval_system(), SemialgebraicSystem(1, (P("0.5 - 0.5*x1^3"),))):
+        k = lifting_k_max(f, system, 1.0, 100)
+        assert (2 * k + 1) * system.constraints[-1].degree <= LIFT_DEGREE_CAP
+        lifting_transform(f, system, 1.0, k)
+        with pytest.raises(CapacityError):
+            lifting_transform(f, system, 1.0, k + 1)
+    # no cut: lam = 0 expands nothing, a small k_max already fits, and a
+    # problem over the cap even at k = 1 is left to raise
+    assert lifting_k_max(f, interval_system(), 0.0, 100) == 100
+    assert lifting_k_max(f, interval_system(), 1.0, 3) == 3
+    assert lifting_k_max(P("x1^61"), interval_system(), 1.0, 20) == 1
 
 
 def test_find_lifting_k_monotone_in_lambda():

@@ -21,6 +21,7 @@ from poslab import (
     reconstruct,
     round_psd,
     verify,
+    verify_disproof,
     weighted_norm,
 )
 from poslab.semialg import feasible_mask, grid_points
@@ -307,3 +308,23 @@ def test_certificate_file_round_trip(tmp_path):
     path2 = tmp_path / "cert2.json"
     save_certificate(res.certificate, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# disproofs
+
+
+def test_disproof_is_checked_exactly_at_the_point():
+    system = interval_system()
+    # on the boundary g = 1 - x1^2 is exactly 0, which is feasible
+    edge = verify_disproof(P("x1 - 2"), system, [1.0])
+    assert edge.passed and edge.value == -1.0 and edge.reason == ""
+    assert edge.to_dict() == {"point": [1.0], "value": -1.0, "pass": True, "reason": ""}
+    # just outside, by one ulp
+    outside = verify_disproof(P("x1 - 2"), system, [np.nextafter(1.0, 2.0)])
+    assert not outside.passed and "g1" in outside.reason
+    # 10 * 0.1 - 1 rounds to 0.0 in floats but is 2^-54 > 0 exactly
+    rounding = verify_disproof(P("10*x1 - 1"), system, [0.1])
+    assert not rounding.passed and ">= 0" in rounding.reason
+    with pytest.raises(InputError):
+        verify_disproof(P("x1 - 2"), system, [1.0, 0.0])

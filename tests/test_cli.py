@@ -179,6 +179,81 @@ def test_verify_mismatched_generators_exits_1(tmp_path, shifted_problem):
                  "--certificate", str(cert_path)]) == 1
 
 
+def test_disproof_roundtrip_through_separate_processes(tmp_path):
+    # negative near the origin, inside the set: in no level of the module
+    path = write_problem(tmp_path / "n.json", 2, "x1^2 + x2^2 - 0.5",
+                         ["1 - x1^2 - x2^2", "x1 + 0.5"])
+    out = tmp_path / "res.json"
+    proc = _run_module(["certify", "--input", path, "--level", "2",
+                        "--output", str(out)], {})
+    assert proc.returncode == 2
+    payload = json.loads(out.read_text())
+    assert payload["found"] is False
+    assert payload["certificate"] is None
+    assert payload["disproof"]["value"] < 0
+    assert "no level of the cone" in payload["reason"]
+    disproof = tmp_path / "disproof.json"
+    disproof.write_text(json.dumps(payload["disproof"]))
+    check = tmp_path / "check.json"
+    proc = _run_module(["verify", "--input", path, "--disproof", str(disproof),
+                        "--output", str(check)], {})
+    assert proc.returncode == 0
+    report = json.loads(check.read_text())["disproof"]
+    assert report["pass"] is True
+    assert report["point"] == payload["disproof"]["point"]
+    assert report["value"] == payload["disproof"]["value"]
+
+    # moved outside S, or to where the target is >= 0: the check fails
+    for point, why in (([-0.6, 0.0], "g2 is -0.09"), ([0.75, 0.0], ">= 0")):
+        disproof.write_text(json.dumps(dict(payload["disproof"], point=point)))
+        proc = _run_module(["verify", "--input", path, "--disproof", str(disproof),
+                            "--output", str(check)], {})
+        assert proc.returncode == 3
+        report = json.loads(check.read_text())["disproof"]
+        assert report["pass"] is False
+        assert why in report["reason"]
+
+
+def test_certify_payload_has_no_disproof_for_a_member(tmp_path, shifted_problem):
+    out = tmp_path / "res.json"
+    assert main(["certify", "--input", shifted_problem, "--level", "2",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["disproof"] is None
+
+
+def test_verify_disproof_value_past_the_float_range(tmp_path):
+    # -x1^2 at 1e200 is -1e400: still a disproof, with no float value
+    path = write_problem(tmp_path / "p.json", 1, "0 - x1^2", ["x1"])
+    disproof = tmp_path / "d.json"
+    disproof.write_text(json.dumps({"point": [1e200]}))
+    out = tmp_path / "out.json"
+    assert main(["verify", "--input", path, "--disproof", str(disproof),
+                 "--output", str(out)]) == 0
+    report = json.loads(out.read_text())["disproof"]
+    assert report["pass"] is True
+    assert report["value"] is None
+
+
+def test_verify_disproof_rejects_malformed_files(tmp_path, capsys, interval_problem):
+    bad = tmp_path / "bad.json"
+    malformed = ('{"value": -1}', '{"point": ["a"]}', "[]", '{"point": "1"}',
+                 '{"point": [true]}', '{"point": {"0": 0.5}}',
+                 '{"point": [1%s]}' % ("0" * 400))
+    for text in malformed:
+        bad.write_text(text)
+        assert main(["verify", "--input", interval_problem,
+                     "--disproof", str(bad)]) == 1
+        assert "malformed disproof" in capsys.readouterr().err
+    for text in ('{"point": [0.0, 0.0]}', '{"point": [NaN]}'):
+        bad.write_text(text)
+        assert main(["verify", "--input", interval_problem,
+                     "--disproof", str(bad)]) == 1
+    # --certificate and --disproof exclude each other, and one is required
+    assert main(["verify", "--input", interval_problem]) == 1
+    assert main(["verify", "--input", interval_problem, "--disproof", str(bad),
+                 "--certificate", str(bad)]) == 1
+
+
 # ----------------------------------------------------------------------
 # converge
 
@@ -354,6 +429,19 @@ def test_lift_search_not_found_exits_2(tmp_path, shifted_problem):
     code = main(["lift", "--input", shifted_problem, "--lambda", "1e6",
                  "--k-max", "3", "--grid", "10001"])
     assert code == 2
+
+
+def test_lift_search_stops_at_the_degree_cap(tmp_path, shifted_problem):
+    # With the default --k-max 20, k = 15 would lift the quadratic
+    # constraint to degree 62 > 60; the search ends at k = 14, not found.
+    out = tmp_path / "lift.json"
+    code = main(["lift", "--input", shifted_problem, "--lambda", "1e6",
+                 "--grid", "10001", "--output", str(out)])
+    assert code == 2
+    search = json.loads(out.read_text())["search"]
+    assert search["found"] is False
+    assert search["empirical_k"] is None
+    assert search["k_max"] == 14  # the k actually searched, not --k-max
 
 
 def test_estimate_cubic_exponent(tmp_path):

@@ -26,6 +26,7 @@ from poslab import (
     sup_bound,
     weighted_norm,
 )
+from poslab.poly import evaluate_exact
 
 P = parse_polynomial
 
@@ -353,3 +354,44 @@ def test_shifted_power_calculus_inequality():
     for k in range(0, 51):
         vals = (ys - 1.0) ** (2 * k) * ys
         assert float(np.max(vals)) <= 1.0 / (2 * k + 1) + 1e-12
+
+
+# ----------------------------------------------------------------------
+# exact evaluation
+
+
+def test_evaluate_exact_matches_rational_arithmetic():
+    from fractions import Fraction
+
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        f = random_polynomial(rng, n, 6)
+        point = [float(v) for v in rng.uniform(-3.0, 3.0, n)]
+        num, den = evaluate_exact(f, point)
+        exact = sum(
+            Fraction(c) * math.prod(Fraction(x) ** a for x, a in zip(point, alpha))
+            for alpha, c in f.terms()
+        )
+        assert den > 0
+        assert Fraction(num, den) == exact
+        assert num / den == float(exact)
+
+
+def test_evaluate_exact_sees_what_rounding_hides():
+    # the float 0.1 is a little above a tenth: 10 * 0.1 - 1 rounds to 0.0,
+    # but its exact value is 2^-54 > 0
+    f = P("10*x1 - 1")
+    assert f.evaluate([0.1]) == 0.0
+    num, den = evaluate_exact(f, [0.1])
+    assert num > 0 and num / den == 2.0**-54
+    assert evaluate_exact(P("x1 - 0.1"), [0.1])[0] == 0
+    assert evaluate_exact(Polynomial.zero(2), [1.5, 2.0])[0] == 0
+
+
+def test_evaluate_exact_rejects_bad_points():
+    with pytest.raises(DimensionMismatchError):
+        evaluate_exact(P("x1 + x2"), [1.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InputError):
+            evaluate_exact(P("x1"), [bad])

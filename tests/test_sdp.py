@@ -5,7 +5,7 @@ import pytest
 
 from poslab import CapacityError, InputError, SdpProblem, solve
 from poslab.certificate import DEFAULT_PSD_TOL
-from poslab.sdp import EQ_TOL, SDP_DIM_ENV_VAR
+from poslab.sdp import CERT_CHECK_EVERY, EQ_TOL, SDP_DIM_ENV_VAR
 
 
 def _svec(mats, sizes):
@@ -365,6 +365,66 @@ def test_no_farkas_fields_without_a_certificate():
     assert sol.farkas_trace_bound is None
     opt = solve(_diagonal_constrained_problem(6, seed=6)).diagnostics()
     assert (opt["farkas_rhs"], opt["farkas_min_eigenvalue"]) == (None, None)
+
+
+def test_accepting_witness_ends_the_run_at_the_first_check():
+    problem = _rank_two_feasibility_problem(5, 8, seed=3)  # 239 iterations
+    seen = []
+
+    def accept(y):
+        seen.append(y)
+        return "accepted"
+
+    sol = solve(problem, accept)
+    assert sol.status == "infeasible-detected"
+    assert sol.iterations == CERT_CHECK_EVERY
+    assert sol.witness == "accepted"
+    assert "disproof" in sol.message
+    assert (sol.farkas_rhs, sol.farkas_y) == (None, None)
+    assert len(seen) == 1 and seen[0].shape == problem.rhs.shape
+
+
+def test_declining_witness_changes_nothing():
+    problem = _rank_two_feasibility_problem(5, 8, seed=3)
+    calls = []
+    plain = solve(problem)
+    declined = solve(problem, lambda y: calls.append(1))
+    assert len(calls) == plain.iterations // CERT_CHECK_EVERY
+    assert (declined.status, declined.iterations, declined.witness) == (
+        plain.status, plain.iterations, None
+    )
+    assert np.array_equal(declined.block_values[0], plain.block_values[0])
+    # the pinned run of test_feasibility_form_projects_once_per_iteration
+    pinned = solve(_rank_two_feasibility_problem(6, 12, seed=4), witness=None)
+    assert pinned.iterations == 21
+
+
+def test_witness_sees_the_farkas_candidate_as_given():
+    # the 2x2 determinant problem ends on a Farkas certificate; the witness
+    # saw the same y, in the form of farkas_y before its scaling
+    problem = _problem(
+        (2,),
+        (
+            ((E11,), 1.0),
+            ((E22,), 1.0),
+            ((E12,), 2.0),
+        ),
+    )
+    seen = []
+    sol = solve(problem, seen.append)
+    assert sol.farkas_rhs is not None
+    last = seen[-1]
+    scaled = last / np.linalg.norm(problem.constraints.T @ last)
+    assert scaled == pytest.approx(sol.farkas_y, rel=1e-12, abs=1e-15)
+
+
+def test_optimization_solve_never_calls_the_witness():
+    problem = _diagonal_constrained_problem(6, seed=6)
+    calls = []
+    sol = solve(problem, lambda y: calls.append(1) or "accepted")
+    assert calls == []
+    assert sol.status == "optimal"
+    assert sol.iterations == solve(problem).iterations
 
 
 def test_layouts_are_cached_and_read_only():

@@ -27,6 +27,8 @@ from poslab import (
     sos_decompose,
     verify,
 )
+from poslab.certificate import verify_disproof
+from poslab.poly import evaluate_exact
 
 P = parse_polynomial
 
@@ -166,12 +168,15 @@ def test_module_membership_affine_over_interval():
 
 
 def test_module_membership_sign_obstruction():
+    # -1 is negative at every point of [-1, 1]: a disproof at every level,
+    # where it was an inconclusive not-found before disproofs existed
     for level in (2, 4, 10):
         res = module_membership(
             MembershipProblem(P("0 - 1"), interval_system(), level)
         )
         assert not res.found
-        assert "inconclusive" in res.reason
+        assert res.disproof is not None and res.disproof.value == -1.0
+        assert "no level of the cone" in res.reason
 
 
 def test_module_membership_pure_sos_case():
@@ -256,6 +261,9 @@ def test_non_members_end_on_a_farkas_certificate(name):
     assert res.solver["farkas_min_eigenvalue"] >= -1e-9
     assert f"Farkas certificate for level {level}" in res.reason
     assert "untruncated cone" in res.reason
+    # Motzkin is nonnegative, and the arch's candidates average to a point
+    # where it is not negative: neither gives a disproof
+    assert res.disproof is None
 
 
 # A dense quartic negative at a feasible point of the unit box, so outside
@@ -290,6 +298,110 @@ def test_farkas_certificate_checks_against_the_compiled_problem():
     floor = -1e-9 * np.linalg.norm(aty)
     for block in _BlockLayout(problem.block_sizes).unpack(aty):
         assert np.linalg.eigvalsh(block)[0] >= floor
+
+
+def test_negative_on_box_ends_on_an_exact_disproof():
+    system = box_system(2)
+    res = module_membership(MembershipProblem(NEGATIVE_ON_BOX, system, 4))
+    assert not res.found
+    assert res.status == "infeasible-detected"
+    # the first Farkas candidate already names the point
+    assert res.solver["iterations"] == sdp.CERT_CHECK_EVERY
+    assert "disproof" in res.solver["message"]
+    assert res.solver["farkas_rhs"] is None
+    assert "no level of the cone" in res.reason
+    point = res.disproof.point
+    # re-checked from the point alone, in exact arithmetic
+    again = verify_disproof(NEGATIVE_ON_BOX, system, point)
+    assert again.passed
+    assert again.value == res.disproof.value < 0
+    assert all(evaluate_exact(g, point)[0] >= 0 for g in system.constraints)
+    assert evaluate_exact(NEGATIVE_ON_BOX, point)[0] < 0
+
+
+# The certify case negative1-po of the benchmark's seed 6: a quartic negative
+# at a point of the unit disc, in its level-4 preordering.  Before disproofs
+# it was the one case of seeds 1-10 that the stall heuristic decided, after
+# 2,006 iterations.
+NEGATIVE_ON_DISC = P(
+    "-0.5117219920774422*x1^4 + 0.0950180734778594*x1^3*x2"
+    " - 0.9519916308661054*x1^2*x2^2 + 2.5635647388270684*x1*x2^3"
+    " - 0.4734005189300632*x2^4 + 2.698992304994874*x1^3"
+    " - 0.16525696260974576*x1^2*x2 + 2.281410653938864*x1*x2^2"
+    " - 1.7673877979828385*x2^3 + 0.15587508865966893*x1^2"
+    " - 2.210737229451663*x1*x2 - 0.5764984126794197*x2^2"
+    " - 3.429248628289805*x1 + 2.7305661702758277*x2 + 0.28537609901815664",
+    2,
+)
+
+
+def test_stall_case_ends_on_a_disproof_at_the_first_check():
+    disc = SemialgebraicSystem(2, (P("1 - x1^2 - x2^2"),))
+    res = preordering_membership(
+        MembershipProblem(NEGATIVE_ON_DISC, disc, 4, PREORDERING)
+    )
+    assert res.status == "infeasible-detected"
+    assert res.solver["iterations"] == sdp.CERT_CHECK_EVERY
+    assert "stall" not in res.reason
+    assert verify_disproof(NEGATIVE_ON_DISC, disc, res.disproof.point).passed
+
+
+# A member with a positive definite Gram matrix: the benchmark's certify case
+# member3-qm of seed 1 (cubic ball in three variables, level 4).
+PD_MEMBER = P(
+    "-0.8997409668815266*x1^4 - 1.53612371770116*x1^3*x2"
+    " + 0.8616479585388641*x1^3*x3 - 1.320773849822252*x1^2*x2^2"
+    " + 2.68892664982921*x1^2*x2*x3 - 2.587446855819493*x1^2*x3^2"
+    " - 1.1557460613771486*x1*x2^3 + 0.8106159796674964*x1*x2^2*x3"
+    " - 1.0828446829068332*x1*x2*x3^2 + 0.5032456321740058*x1*x3^3"
+    " - 0.41502917342678347*x2^4 + 2.181769943057057*x2^3*x3"
+    " - 1.792054229688248*x2^2*x3^2 + 1.7406909257510315*x2*x3^3"
+    " - 1.0964252731537651*x3^4 + 4.720012431907373*x1^3"
+    " + 3.9253830661388522*x1^2*x2 - 7.372766357727398*x1^2*x3"
+    " + 3.103815374994835*x1*x2^2 - 0.19551383107983455*x1*x2*x3"
+    " + 5.8865185222531435*x1*x3^2 + 3.3826047994036985*x2^3"
+    " - 6.064964842155756*x2^2*x3 + 4.404823640555068*x2*x3^2"
+    " - 7.56478796487108*x3^3 - 3.079894257264778*x1^2"
+    " + 0.7549909992049321*x1*x2 - 2.780145023984061*x1*x3"
+    " - 6.061960538402443*x2^2 - 1.8175422392876623*x2*x3"
+    " - 3.63033125021058*x3^2 - 3.311378886101245*x1"
+    " - 3.3426486653209304*x2 + 5.189360542122235*x3 + 8.295012107900456",
+    3,
+)
+
+
+def test_members_never_get_a_disproof(monkeypatch):
+    # A member is nonnegative on S, so no exact check can accept a point.
+    # Count the candidates each solve hands the witness.
+    solve = sdp.solve
+    consulted = []
+
+    def counting(problem, witness=None):
+        def wrapped(y):
+            consulted[-1] += 1
+            return witness(y)
+
+        consulted.append(0)
+        return solve(problem, None if witness is None else wrapped)
+
+    monkeypatch.setattr(sdp, "solve", counting)
+    sparse = [
+        Polynomial(2, a) * Polynomial(2, a) + Polynomial(2, b) * Polynomial(2, b)
+        for a, b in (SPARSE_SQUARE_SUMS[name] for name in sorted(SPARSE_SQUARE_SUMS))
+    ]
+    members = [
+        (PD_MEMBER, SemialgebraicSystem(3, (P("1 - x1^2 - x2^2 - x3^2"),)), 4),
+        (P("x1 + 1.02"), interval_system(), 8),  # minimum 0.02, at the boundary
+        (sparse[0], SemialgebraicSystem(2, ()), 4),
+        (sparse[1], SemialgebraicSystem(2, ()), 4),
+        (DENSE_RANK_TWO, SemialgebraicSystem(3, ()), 4),
+    ]
+    for target, system, level in members:
+        res = module_membership(MembershipProblem(target, system, level))
+        assert res.found
+        assert res.disproof is None
+    # the long solves did consult it: every CERT_CHECK_EVERY iterations
+    assert consulted[1] >= 1 and consulted[4] >= 40
 
 
 def test_infeasible_reason_names_its_evidence(monkeypatch):
