@@ -36,6 +36,7 @@ from .errors import (
 from .poly import Polynomial, weighted_norm
 from .semialg import (
     DEFAULT_FEASIBILITY_TOL,
+    MAX_SAMPLES,
     GridSpec,
     SemialgebraicSystem,
     feasible_mask,
@@ -48,6 +49,7 @@ LIFT_DEGREE_CAP = 60
 LIFT_TERM_CAP = 200_000
 ENVELOPE_BINS = 12  # log-distance bins of the Lojasiewicz lower envelope
 CONTAINMENT_MARGIN = 1e-9  # how far inside the unit box a rounded cube needs S
+DISTANCE_CHUNK_ENTRIES = 1 << 18  # entries of one chunk's sample-by-point matrices
 
 
 @dataclass(frozen=True)
@@ -387,9 +389,39 @@ def _feasible_distances(
     that axis has |x_i - q_i| < |x_i - p_i| and the same other coordinates;
     rounding is monotone, so its computed distance is no larger and q is a
     nearest point too.  Such steps approach the sample's cell and end in one
-    of the two sets.  Each pair is computed with the same expression as a
-    sweep over all feasible points, so the result is bit-identical to that
-    sweep, at the cost of the boundary instead of the whole feasible set.
+    of the two sets.
+
+    Every distance that counts is computed with the reference expression
+    D(x, p) = sum((x - p) ** 2), the same as a sweep over all feasible
+    points, and a minimum of floats is exact, so the result is bit-identical
+    to that sweep.  The 3^n near points are few and all get D.  The
+    boundary points are first screened, one matrix product per chunk of
+    samples, and D is computed only for the pairs the screen keeps:
+
+    - Screen.  With c the box centre, x~ = x - c and b~ = b - c in floating
+      point, and R = max |b~| over the boundary, the screen value is
+      E = [x~, 1] . [-2 b~, |b~|^2], which is |x~ - b~|^2 - |x~|^2; the
+      |x~|^2 it leaves out is the same for every pair of a row.  Let
+      S = (|x~| + R)^2, u = eps / 2 and g_k = k u / (1 - k u).  Against the
+      exact |x~ - b~|^2 - |x~|^2, E errs by at most g_(2n+1) S (an (n+1)-term
+      dot product, one of whose inputs carries g_n from |b~|^2); the
+      rounding of the shift by c moves x~ - b~ off x - b by at most
+      u (|x~| + |b~|) and so the square by about 2u S; and D errs from
+      |x - b|^2 by at most g_(n+2) S (a rounded difference, its square, and
+      a sum of n terms).  So for two boundary points of one row the
+      difference of E and the difference of D differ by at most
+      2 (g_(2n+1) + g_(n+2) + 2u) S, about (3n + 5) eps S.  A point that
+      minimises D therefore has E within that of the row's least E, and the
+      screen keeps every pair with E <= min E + 4 (n + 3) eps S, which is
+      1.3 to 2 times as much.
+    - Confirm.  The kept pairs get D, reduced into the row minima with
+      ``np.minimum.at``.  A row whose screen is NaN keeps every pair.
+
+    Samples go in chunks of as many rows as keep rows x boundary and
+    rows x 3^n x n within ``DISTANCE_CHUNK_ENTRIES``, so the temporaries do
+    not grow with the boundary.  Off exact ties a row keeps one or a few
+    pairs; in the worst case, when the slack admits every pair, the confirm
+    does the sweep's work and no more.
     """
     n = pts.shape[1]
     shape = (points_per_axis,) * n
@@ -407,18 +439,35 @@ def _feasible_distances(
     nearest = np.clip(np.rint((xs - lo) / cell), 0, points_per_axis - 1).astype(np.intp)
     offsets = np.indices((3,) * n).reshape(n, -1).T - 1  # (3^n, n)
 
+    centre = np.array([0.5 * (lo + hi) for lo, hi in box])
+    edge = boundary - centre
+    edge_sq = np.sum(edge**2, axis=1)
+    weights = np.vstack([-2.0 * edge.T, edge_sq])  # (n + 1, boundary)
+    shifted = xs - centre
+    augmented = np.column_stack([shifted, np.ones(xs.shape[0])])
+    reach = math.sqrt(edge_sq.max(initial=0.0))
+    scale = (np.linalg.norm(shifted, axis=1) + reach) ** 2
+    slack = 4 * (n + 3) * np.finfo(float).eps * scale
+
     dist = np.empty(xs.shape[0])
-    chunk = 256
+    chunk = max(1, DISTANCE_CHUNK_ENTRIES // max(len(boundary), offsets.size))
     for start in range(0, xs.shape[0], chunk):
-        block = xs[start : start + chunk]
-        idx = nearest[start : start + chunk, None, :] + offsets[None, :, :]
+        stop = start + chunk
+        block = xs[start:stop]
+        idx = nearest[start:stop, None, :] + offsets[None, :, :]
         on_grid = np.all((idx >= 0) & (idx < points_per_axis), axis=2)
         flat = np.ravel_multi_index(tuple(np.moveaxis(idx, 2, 0)), shape, mode="clip")
         d2_near = np.sum((block[:, None, :] - pts[flat]) ** 2, axis=2)
         d2_near[~(on_grid & mask[flat])] = np.inf
-        d2_edge = np.sum((block[:, None, :] - boundary[None, :, :]) ** 2, axis=2)
-        d2 = np.minimum(d2_near.min(axis=1), d2_edge.min(axis=1, initial=np.inf))
-        dist[start : start + chunk] = np.sqrt(d2)
+        d2 = d2_near.min(axis=1)
+        if len(boundary):
+            screen = augmented[start:stop] @ weights
+            limit = screen.min(axis=1) + slack[start:stop]
+            # "not above" rather than "at most": a NaN row confirms every pair
+            kept = np.flatnonzero(~(screen > limit[:, None]))
+            rows, cols = np.divmod(kept, len(boundary))
+            np.minimum.at(d2, rows, np.sum((block[rows] - boundary[cols]) ** 2, axis=1))
+        dist[start:stop] = np.sqrt(d2)
     return dist
 
 
@@ -442,12 +491,19 @@ def lojasiewicz_estimate(
     points (those with an infeasible axis neighbour) and the 3^n grid points
     around the sample only: a nearest point that is in neither set has a
     feasible neighbour at least as close, and stepping so ends in one of
-    them (see ``_feasible_distances``).  The distances, and so every output,
-    are bit-identical to comparing each sample with every feasible grid
-    point, while the work and the temporaries scale with the boundary.
+    them.  The boundary points are screened by one matrix product per chunk
+    of samples, |b - c|^2 - 2 (x - c).(b - c) around the box centre c, and
+    only the pairs within a rounding-error slack of each row's least screen
+    value get the exact distance (see ``_feasible_distances`` for the
+    bound).  The distances, and so every output, are bit-identical to
+    comparing each sample with every feasible grid point, while the work
+    scales with the boundary and the temporaries stay bounded.  More than
+    ``MAX_SAMPLES`` samples raise ``CapacityError`` before any is drawn.
     """
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise CapacityError(f"samples {samples} exceeds the cap {MAX_SAMPLES}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     spec = grid or GridSpec.default_for(system.dimension)

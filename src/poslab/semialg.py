@@ -26,6 +26,7 @@ from .poly import Polynomial, rescale
 
 DEFAULT_FEASIBILITY_TOL = 1e-9
 MAX_GRID_POINTS = 1_000_000  # desk scale: the (N, n) point array takes at most 8n MB
+MAX_SAMPLES = 1_000_000  # the same for estimate's (samples, n) array of drawn points
 
 
 @dataclass(frozen=True)

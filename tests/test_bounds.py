@@ -1,6 +1,7 @@
 """Degree/gap bound calculators, lifting transform, fits, rounded cube."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from poslab import (
     round_hypercube_degree,
     schmuedgen_degree_bound,
 )
-from poslab.bounds import LIFT_DEGREE_CAP, lifting_k_max
-from poslab.semialg import feasible_mask, grid_points
+from poslab.bounds import LIFT_DEGREE_CAP, _feasible_distances, lifting_k_max
+from poslab.semialg import MAX_SAMPLES, feasible_mask, grid_points
 
 P = parse_polynomial
 
@@ -391,6 +392,7 @@ NEAREST_FEASIBLE_SETS = {
         (((-1.0, 1.0),), 41),
         (((-1.0, 1.0), (-1.3, 0.9)), 23),
         (((-1.1, 1.0), (-1.0, 1.2), (-0.9, 1.0)), 11),
+        (((-1.0, 1.0), (-1.2, 0.9), (-0.9, 1.1), (-1.0, 1.0)), 6),
     ],
 )
 def test_feasible_distances_bit_identical_to_sweep(name, box, ppa):
@@ -414,12 +416,88 @@ def test_feasible_distances_bit_identical_to_sweep(name, box, ppa):
     assert np.array_equal(got, _distances_by_sweep(xs, pts[mask]))
 
 
+def _near_ties(box, ppa, rng):
+    # uniform draws, grid points, half-cell midpoints, the centre and points
+    # a few ulps around it
+    lo = np.array([b[0] for b in box])
+    hi = np.array([b[1] for b in box])
+    centre = 0.5 * (lo + hi)
+    corner = rng.integers(0, ppa - 1, size=(200, len(box)))
+    ulp = np.spacing(np.maximum(np.abs(centre), hi - lo))
+    jitter = rng.integers(-4, 5, size=(100, len(box))) * ulp
+    return np.concatenate([
+        rng.uniform(lo, hi, size=(300, len(box))),
+        grid_points(box, ppa)[rng.integers(0, ppa ** len(box), size=100)],
+        lo + (corner + 0.5) * (hi - lo) / (ppa - 1),
+        centre[None, :],
+        centre + jitter,
+    ])
+
+
+@pytest.mark.parametrize(
+    "box, ppa, feasible",
+    [
+        # narrow and far from the origin: |x|^2 + |b|^2 - 2 x.b on uncentred
+        # points would cancel nearly every digit
+        (((1e4 - 5e-3, 1e4 + 5e-3),) * 3, 15,
+         lambda p: np.sum((p - 1e4) ** 2, axis=1) <= 1.2e-5),
+        (((-1e4 - 5e-3, -1e4 + 4e-3), (1e4 - 3e-3, 1e4 + 5e-3)), 41,
+         lambda p: np.abs(p[:, 0] + 1e4) + np.abs(p[:, 1] - 1e4) >= 2e-3),
+        # integer lattices outside the sphere |p|^2 = 9: the lattice points on
+        # it (104 in 4-D, 30 in 3-D) are all at distance exactly 3 from the
+        # centre, so for samples at or near it every one passes the screen
+        (((-3.0, 3.0),) * 4, 7, lambda p: np.sum(p**2, axis=1) >= 9.0),
+        (((-4.0, 4.0),) * 3, 9, lambda p: np.sum(p**2, axis=1) >= 9.0),
+    ],
+)
+def test_feasible_distances_bit_identical_to_sweep_on_hard_grids(box, ppa, feasible):
+    pts = grid_points(box, ppa)
+    mask = feasible(pts)
+    assert mask.any() and not mask.all()
+    rng = np.random.default_rng(ppa)
+    xs = _near_ties(box, ppa, rng)
+    got = _feasible_distances(xs, pts, mask, ppa, box)
+    want = np.concatenate([  # in slices, to keep the sweep's tensor small
+        _distances_by_sweep(xs[s : s + 100], pts[mask]) for s in range(0, len(xs), 100)
+    ])
+    assert np.array_equal(got, want)
+
+
+def test_feasible_distances_memory_does_not_grow_with_the_boundary():
+    # n = 4 at 11 points per axis: 4,160 boundary points; the full sweep's
+    # (chunk, boundary, n) temporaries peaked near 50 MB here
+    box = ((-1.25, 1.25),) * 4
+    pts = grid_points(box, 11)
+    mask = np.all(np.abs(pts) <= 1.0, axis=1)
+    xs = np.random.default_rng(1).uniform(-1.25, 1.25, size=(1000, 4))
+    tracemalloc.start()
+    try:
+        _feasible_distances(xs, pts, mask, 11, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_lojasiewicz_estimate_rejects_bad_sample_count_and_seed():
     disk = SemialgebraicSystem(2, (P("0.5 - x1^2 - x2^2"),))
     with pytest.raises(InputError, match="samples"):
         lojasiewicz_estimate(disk, GridSpec(21), samples=0, seed=1)
     with pytest.raises(InputError, match="seed"):
         lojasiewicz_estimate(disk, GridSpec(21), samples=10, seed=-1)
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**12])
+def test_lojasiewicz_estimate_caps_sample_count(samples, monkeypatch):
+    # refused before any point is drawn: 10^12 samples would otherwise run
+    # for hours and end in a MemoryError
+    def no_draws(*args, **kwargs):
+        raise AssertionError("points drawn before the cap was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    disk = SemialgebraicSystem(2, (P("0.5 - x1^2 - x2^2"),))
+    with pytest.raises(CapacityError, match="samples"):
+        lojasiewicz_estimate(disk, GridSpec(21), samples=samples, seed=1)
 
 
 # ----------------------------------------------------------------------

@@ -347,6 +347,7 @@ def test_bounds_rejects_nan_input(tmp_path, capsys):
         (["lift", "--c0", "1e308"], "c0"),
         (["estimate", "--seed", "-1"], "seed"),
         (["estimate", "--samples", "0"], "samples"),
+        (["estimate", "--samples", "1000001"], "samples"),
     ],
 )
 def test_lift_and_estimate_reject_bad_numbers(tmp_path, capsys, argv, named):
@@ -476,6 +477,29 @@ def test_estimate_and_lift_outputs_pinned(tmp_path):
     assert data["parameters"]["empirical_min_h"] == -0.8665598608393879
     assert data["parameters"]["k"] == 6
     assert data["search"]["empirical_k"] == 5
+
+
+@pytest.mark.parametrize(
+    "n, grid, c2, c3",
+    [
+        (3, 31, 1.4201505214607288, 26.235118794073955),
+        (4, 11, 1.3026973153885304, 134.92472105128957),
+    ],
+)
+def test_estimate_outputs_pinned_on_large_boundaries(tmp_path, n, grid, c2, c3):
+    # The unit box inside [-1.25, 1.25]^n: thousands of boundary grid points,
+    # where the nearest-feasible search does most of its work.  Floats were
+    # recorded with the full boundary sweep and must be reproduced exactly.
+    cube = write_problem(tmp_path / "c.json", n, "x1 + 3",
+                         [f"1 - x{i}^2" for i in range(1, n + 1)],
+                         box=[[-1.25, 1.25]] * n)
+    out = tmp_path / "out.json"
+    assert main(["estimate", "--input", cube, "--grid", str(grid),
+                 "--samples", "1000", "--seed", "5", "--output", str(out)]) == 0
+    fit = json.loads(out.read_text())["fit"]
+    assert fit["c2_exponent"] == c2
+    assert fit["c3_scale"] == c3
+    assert fit["sample_count"] == 1000
 
 
 def test_estimate_degenerate_exits_1(tmp_path):
