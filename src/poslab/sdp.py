@@ -50,38 +50,33 @@ instead, steps from there and clears the memory.  So a solve makes
 ``iterations + anderson_rejected`` projections, and ``iterations`` counts
 affine steps from kept points.
 
-The stall test (the fallback stop, see *Statuses*) takes one sample per
-iteration, max(gap, equality residual) and |u| at the projected point, and
-never one at a point the safeguard undoes.  The sample of a plain point is
-taken at once.  The sample of an extrapolated point waits for the
-safeguard's verdict on it; if the point is undone, the sample at P(t)
-replaces it, which is what the iteration would have sampled without the
-extrapolation.  A verdict on a held sample ends the run at the iteration
-the sample belongs to.  The divergence and breakdown guards see the same
-samples.
+The breakdown guard (a nonfinite residual) and the divergence guard (an
+objective past ``UNBOUNDED_THRESHOLD`` in absolute value) run once per
+iteration, on the point the loop continues from, after the safeguard's
+verdict on it: they never act on a point the safeguard undoes.
 
 The PSD-side iterate is exactly PSD at every step, so a run can stop as soon
 as that iterate satisfies the equalities:
 
 * feasibility problems (zero objective) stop when the equality residual of
-  the PSD iterate reaches ``STOP_TOL``, or, checked every
-  ``CERT_CHECK_EVERY`` iterations, when the last dual step yields a Farkas
-  certificate (below);
+  the PSD iterate reaches ``STOP_TOL``;
 * optimization problems stop on the classic fixed-point test, or earlier on
   a certified primal-dual gap: the affine projection multiplier doubles as a
   dual candidate y, and once ``|<c,z> - <b,y>|`` and the dual slack spectrum
   of ``c - A^T y`` are small the objective cannot move further (degenerate
-  instances reach this certificate long before the consensus gap dies).
+  instances reach this certificate long before the consensus gap dies);
+* both stop, checked every ``CERT_CHECK_EVERY`` iterations, when the last
+  dual step yields a Farkas certificate (below).
 
 Farkas certificates
 -------------------
 On an infeasible problem the dual steps u - u_prev converge to x* - z*, the
 shortest vector from the PSD cone to the affine set (Banjac, Goulart,
-Stellato & Boyd 2019).  Its negative z* - x* is PSD and normal to the affine
-set, so it is A^T y for a Farkas certificate y.  Every
-``CERT_CHECK_EVERY`` iterations a feasibility solve takes the last step
-d = u_prev - u, fits y = (A A^T)^+ A d against the row-scaled system by
-least squares and scales it to |A^T y| = 1.  It accepts y when
+Stellato & Boyd 2019), whatever the objective.  Its negative z* - x* is PSD
+and normal to the affine set, so it is A^T y for a Farkas certificate y.
+Every ``CERT_CHECK_EVERY`` iterations a solve of either form takes the last
+step d = u_prev - u, fits y = (A A^T)^+ A d against the row-scaled system
+by least squares and scales it to |A^T y| = 1.  It accepts y when
 b^T y < -``FARKAS_RHS_TOL`` and lambda_min(A^T y) >= -``FARKAS_EIG_TOL``.
 The test is plain algebra on y, whatever point the step came from (one the
 safeguard later undoes is as good a source as any).
@@ -138,26 +133,19 @@ Statuses
     residual contract met (``feasible`` when the objective is zero): the
     equality residual is at most ``EQ_TOL``.
 ``infeasible-detected``
-    one of four kinds of evidence, which the message names:
+    one of three kinds of evidence, which the message names:
 
     * exact, at 0 iterations: a row the presolve leaves reading
       0 = b_i != 0, or an inconsistent equality system;
-    * a Farkas certificate (feasibility problems only): ``farkas_rhs`` and
-      ``farkas_min_eigenvalue`` hold b^T y and lambda_min(A^T y) at
-      |A^T y| = 1, ``farkas_y`` holds y, and the message gives the trace
-      bound above;
+    * a Farkas certificate: ``farkas_rhs`` and ``farkas_min_eigenvalue``
+      hold b^T y and lambda_min(A^T y) at |A^T y| = 1, ``farkas_y`` holds
+      y, and the message gives the trace bound above;
     * a value the caller's witness predicate accepted (feasibility problems
-      only, "disproof" in the message, ``witness`` holds the value);
-    * the stall test, a heuristic and never a proof: the projection
-      residual stalled above ``STALL_RESIDUAL`` for ``STALL_WINDOW``
-      consecutive iterations, none of them improving it by a relative
-      ``STALL_IMPROVEMENT``, while the dual iterate grew by at least
-      ``STALL_DUAL_GROWTH * STALL_WINDOW`` times the residual over the
-      window (bounded duals mean a feasible problem that is merely slow, so
-      the run continues).
+      only, "disproof" in the message, ``witness`` holds the value).
 ``max-iterations``
-    neither of the above within ``MAX_ITERATIONS``, or the objective passed
-    ``UNBOUNDED_THRESHOLD`` in absolute value.
+    neither of the above within ``MAX_ITERATIONS`` (the iteration cap is the
+    only fallback stop), or the objective passed ``UNBOUNDED_THRESHOLD`` in
+    absolute value.
 
 Every setting above is a module constant; the one setting read at run time
 is the total dimension cap, ``DEFAULT_MAX_TOTAL_DIM`` unless the environment
@@ -186,11 +174,6 @@ CERT_EIG_TOL = 5e-7             # certified exit: dual slack eigenvalue floor
 CERT_CHECK_EVERY = 25
 MAX_ITERATIONS = 150_000
 OVER_RELAXATION = 1.6
-STALL_WINDOW = 2_000
-STALL_RESIDUAL = 1e-5
-STALL_IMPROVEMENT = 1e-3        # relative improvement that resets the window
-STALL_DUAL_GROWTH = 0.01        # required |u| growth per window, in units of
-                                # STALL_WINDOW * residual
 UNBOUNDED_THRESHOLD = 1e12
 ANDERSON_MEMORY = 8
 ANDERSON_REGULARIZATION = 1e-10  # relative Tikhonov weight of the least-squares fit
@@ -617,13 +600,12 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
             mu, x = np.zeros(0), w
         return mu, x, OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z + u
 
-    def measure(x, z, u):
-        """The consensus gap |x - z|, the equality residual of z and |u| at
-        the projected point z = P(s), u = s - z reached from the affine
-        projection x."""
+    def measure(x, z):
+        """The consensus gap |x - z| and the equality residual of z at the
+        projected point z = P(s) reached from the affine projection x."""
         gap = float(np.abs(x - z).max()) if n else 0.0
         aff = float(np.abs((a_hat @ z - b_hat) * row_scale).max()) if m else 0.0
-        return gap, aff, float(np.abs(u).max()) if n else 0.0
+        return gap, aff
 
     def as_given(y):
         """y of the reduced, row-scaled system in the original row order,
@@ -648,59 +630,21 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
             return None
         return y / norm, rhs, lam
 
-    best_res = np.inf
-    last_improvement = 0
-    u_norm_hist = np.zeros(STALL_WINDOW)  # trailing |u| ring buffer
-
-    def settle(it, res, u_norm, z):
-        """Feed iteration ``it``'s sample (its residual max(gap, aff) and |u|
-        at the point z) to the stall test and the breakdown and divergence
-        guards; return (status, message) when the run ends there."""
-        nonlocal best_res, last_improvement
-        if res < best_res * (1.0 - STALL_IMPROVEMENT):
-            last_improvement = it
-        if res < best_res:
-            best_res = res
-        window_ago = u_norm_hist[it % STALL_WINDOW]
-        u_norm_hist[it % STALL_WINDOW] = u_norm
-        if (
-            it - last_improvement >= STALL_WINDOW
-            and best_res > STALL_RESIDUAL
-            and it > STALL_WINDOW
-            and u_norm - window_ago
-            >= STALL_DUAL_GROWTH * STALL_WINDOW * best_res
-        ):
-            # diverging duals over a stalled window are the splitting
-            # method's infeasibility signature; bounded duals just mean slow
-            return "infeasible-detected", (
-                f"residual stalled at {best_res:.3e} for {STALL_WINDOW} "
-                f"iterations with diverging duals"
-            )
-        if not np.isfinite(res):
-            raise SolverError(
-                "numerical breakdown: nonfinite residual",
-                {"iteration": it, "residual": res},
-            )
-        if has_objective and abs(float(c_vec @ z)) > UNBOUNDED_THRESHOLD:
-            return "max-iterations", "objective diverged; problem may be unbounded"
-        return None
-
     z = np.zeros(n)
     u = np.zeros(n)
     status = "max-iterations"
     message = ""
     iterations = MAX_ITERATIONS
-    gap = 0.0
+    gap = aff = 0.0
     dual_gap: float | None = None
 
-    # Acceleration state: the current point s = z + u and the residual it
-    # must beat; if s was extrapolated, its stall sample (res, |u|, x) at
-    # P(s), held until the safeguard has judged s, and in ``fallback`` the
-    # plain point T(s_prev) to return to if s is undone.
+    # Acceleration state: the current point s = z + u, the fixed-point
+    # residual it must beat if it was extrapolated (``pending``), and in
+    # ``fallback`` the plain point T(s_prev) to return to if s is undone.
     anderson = _Anderson(n)
     s = np.zeros(n)
     safe_norm = np.inf
-    held = None
+    pending = False
     accepted = rejected = 0
     farkas = None
     found = None
@@ -708,35 +652,34 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
     for it in range(1, MAX_ITERATIONS + 1):
         mu, x, t = plain_step(z, u)
         res_norm = float(np.linalg.norm(t - s))
-        if held is not None:
+        if pending:
             # Keep an extrapolated point only if its fixed-point residual
             # beat the one of the point it came from.  Otherwise project the
-            # stored plain point, step from there, and let its sample stand
-            # in for the held one: the stall test never sees a point the
-            # safeguard undid.
-            res, u_norm, held_x = held
-            held = None
-            undone = not res_norm < safe_norm
-            if undone:
+            # stored plain point and step from there.
+            if res_norm < safe_norm:
+                accepted += 1
+            else:
                 rejected += 1
                 anderson.reset()
                 s = fallback
                 z = layout.project_psd(s)
                 u = s - z
-                gap, aff, u_norm = measure(held_x, z, u)
-                res = max(gap, aff)
-            else:
-                accepted += 1
-            verdict = settle(it - 1, res, u_norm, z)
-            if verdict is not None:
-                status, message = verdict
-                iterations = it - 1
-                break
-            if undone:
                 mu, x, t = plain_step(z, u)
                 res_norm = float(np.linalg.norm(t - s))
+        # The guards judge the point the loop continues from, iteration
+        # it - 1's, never one the safeguard undid.
+        if not np.isfinite(res_norm):
+            raise SolverError(
+                "numerical breakdown: nonfinite residual",
+                {"iteration": it - 1, "residual": res_norm},
+            )
+        if has_objective and abs(float(c_vec @ z)) > UNBOUNDED_THRESHOLD:
+            message = "objective diverged; problem may be unbounded"
+            iterations = it - 1
+            break
         safe_norm = res_norm
         s_next = anderson.extrapolate(s, t)
+        pending = s_next is not None
 
         # The next point is chosen before the one cone projection of the
         # iteration: the extrapolation if there is one, else the plain step.
@@ -744,38 +687,11 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
         s = t if s_next is None else s_next
         z_new = layout.project_psd(s)
         u_prev, u = u, s - z_new
-        gap, aff, u_norm = measure(x, z_new, u)
+        gap, aff = measure(x, z_new)
         step = float(np.abs(z_new - z).max()) if n else 0.0
         z = z_new
 
-        if not has_objective:
-            # z is exactly PSD; meeting the equalities makes it a certificate.
-            if aff <= STOP_TOL:
-                status = "feasible"
-                iterations = it
-                break
-            if m and it % CERT_CHECK_EVERY == 0:
-                # On an infeasible problem the dual step u_prev - u tends to
-                # a PSD vector normal to the affine set, whose least-squares
-                # multiplier is then a Farkas certificate.  Whatever point
-                # the step came from, the tests are on y alone.
-                y = gram_pinv @ (a_hat @ (u_prev - u))
-                if witness is not None:
-                    found = witness(as_given(y))
-                    if found is not None:
-                        status = "infeasible-detected"
-                        iterations = it
-                        message = (
-                            "disproof: the witness accepted the Farkas "
-                            f"candidate of iteration {it}"
-                        )
-                        break
-                farkas = farkas_certificate(y)
-                if farkas is not None:
-                    status = "infeasible-detected"
-                    iterations = it
-                    break
-        else:
+        if has_objective:
             if aff <= STOP_TOL and gap <= STOP_TOL and step <= STOP_TOL:
                 status = "optimal"
                 iterations = it
@@ -797,17 +713,35 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
                         iterations = it
                         dual_gap = pd_gap
                         break
-
-        if s_next is not None:
-            held = (max(gap, aff), u_norm, x)
-            continue
-        verdict = settle(it, max(gap, aff), u_norm, z)
-        if verdict is not None:
-            status, message = verdict
+        elif aff <= STOP_TOL:
+            # z is exactly PSD; meeting the equalities makes it a certificate.
+            status = "feasible"
             iterations = it
             break
+
+        if m and it % CERT_CHECK_EVERY == 0:
+            # On an infeasible problem the dual step u_prev - u tends to a
+            # PSD vector normal to the affine set, whatever the objective,
+            # and its least-squares multiplier is then a Farkas certificate.
+            # Whatever point the step came from, the tests are on y alone.
+            y = gram_pinv @ (a_hat @ (u_prev - u))
+            if witness is not None and not has_objective:
+                found = witness(as_given(y))
+                if found is not None:
+                    status = "infeasible-detected"
+                    iterations = it
+                    message = (
+                        "disproof: the witness accepted the Farkas "
+                        f"candidate of iteration {it}"
+                    )
+                    break
+            farkas = farkas_certificate(y)
+            if farkas is not None:
+                status = "infeasible-detected"
+                iterations = it
+                break
     else:
-        message = f"iteration cap reached with residual {best_res:.3e}"
+        message = f"iteration cap reached with residual {max(gap, aff):.3e}"
 
     farkas_fields = {}
     if farkas is not None:

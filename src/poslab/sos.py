@@ -31,10 +31,11 @@ neither y nor the solver's tolerances nor the presolve, and it ends the
 solve at once.
 
 An ``infeasible-detected`` reason without a disproof names its evidence
-about level k: exact (presolve or an inconsistent system), a Farkas
+about level k: exact (presolve or an inconsistent system) or a Farkas
 certificate (a pseudo-moment functional that bounds the trace of every Gram
-certificate from below), or the solver's stall heuristic, which proves
-nothing.
+certificate from below, or rules them all out).  A solve that finds neither
+a certificate nor such evidence ends at the solver's iteration cap, which is
+inconclusive.
 """
 
 from __future__ import annotations
@@ -248,18 +249,17 @@ def _disproof_witness(target: Polynomial, system: SemialgebraicSystem, level: in
 
 
 def _infeasibility_evidence(solution: sdp.SdpSolution, level: int) -> str:
-    """What an ``infeasible-detected`` solve shows about the level-``level``
-    cone, by its evidence."""
+    """What an ``infeasible-detected`` solve without a disproof shows about
+    the level-``level`` cone: an exact verdict at 0 iterations, else its
+    Farkas certificate."""
     if solution.iterations == 0:
         return f"exact: the level-{level} SDP is infeasible, {solution.message}"
     bound = solution.farkas_trace_bound
-    if bound is not None:
-        shows = (
-            "no Gram certificate exists" if bound == float("inf")
-            else f"every Gram certificate has total trace >= {bound:.3e}"
-        )
-        return f"Farkas certificate for level {level}: {shows}"
-    return f"stall heuristic, not a proof: {solution.message}"
+    shows = (
+        "no Gram certificate exists" if bound == float("inf")
+        else f"every Gram certificate has total trace >= {bound:.3e}"
+    )
+    return f"Farkas certificate for level {level}: {shows}"
 
 
 def _membership_search(
@@ -416,12 +416,11 @@ def lasserre_bound(
 
     Returns -inf (with a reason) when no finite bound exists at this level:
     the level is below deg f, the compiled SDP is reported
-    ``infeasible-detected`` (exactly, by a Farkas certificate, or by the
-    solver's stall heuristic, which is no proof; the reason says which), or
-    the solver's certificate fails independent verification (it stays in the
-    result, with its report, for diagnostics).  Only a solve that ends with
-    ``max-iterations`` (the iteration cap, or a diverging objective) raises
-    SolverError.
+    ``infeasible-detected`` (exactly or by a Farkas certificate; the reason
+    says which), or the solver's certificate fails independent verification
+    (it stays in the result, with its report, for diagnostics).  Only a
+    solve that ends with ``max-iterations`` (the iteration cap, or a
+    diverging objective) raises SolverError.
     """
     if f.dimension != system.dimension:
         raise DimensionMismatchError(

@@ -98,6 +98,22 @@ def test_solve_level_below_degree_exits_2(tmp_path):
     assert data["lower_bound"] is None
 
 
+def test_solve_unbounded_objective_ends_on_a_farkas_certificate(tmp_path):
+    # -x1 is unbounded below on x1 >= 0: no shift of it lies in any level of
+    # the cone, and the first Farkas check of the optimization form says so
+    path = write_problem(tmp_path / "p.json", 1, "-x1", ["x1"])
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--input", path, "--level", "2", "--output", str(out)])
+    assert code == 2
+    data = json.loads(out.read_text())
+    assert data["lower_bound"] is None
+    assert data["finite"] is False
+    assert data["status"] == "infeasible-detected"
+    assert "Farkas certificate for level 2: no Gram certificate exists" in data["reason"]
+    assert data["solver"]["iterations"] == 25
+    assert data["solver"]["farkas_rhs"] is not None
+
+
 def test_solve_malformed_polynomial_exits_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 1, "objective": "2**x1", "constraints": []}))

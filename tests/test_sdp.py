@@ -278,39 +278,45 @@ def test_anderson_counters_on_feasibility_form(monkeypatch):
     assert diag["anderson_accepted"] + diag["anderson_rejected"] == sum(made[:-1])
 
 
-def test_stall_test_never_samples_undone_points(monkeypatch):
-    # An infeasible SDP with an objective: acceleration is on, and the stall
-    # test ends the run.  Every other extrapolated point is moved far off,
-    # so the safeguard undoes each of them; the run must then reach the same
-    # verdict at the same iteration, with the same blocks, as the plain one.
-    from poslab.sdp import _Anderson
+def test_guards_never_act_on_undone_points(monkeypatch):
+    # The hierarchy SDP of a box case (n=2, level 4) with a long flat
+    # residual.  Every other extrapolated point is moved 1e13 along -c, so
+    # its projection has an objective past UNBOUNDED_THRESHOLD; the
+    # safeguard undoes each of them.  Had the divergence guard looked at one,
+    # the run would end max-iterations; it must end optimal.
+    from conftest import box_system
+    from poslab import QUADRATIC_MODULE, parse_polynomial
+    from poslab.sdp import UNBOUNDED_THRESHOLD, _Anderson, _layout
+    from poslab.sos import _compile, _generator_blocks
 
-    problem = _problem(
-        (2,),
-        (
-            ((E11,), 1.0),
-            ((E22,), 1.0),
-            ((E12,), 2.0),
-        ),
-        (E22,),
+    f = parse_polynomial(
+        "-0.249*x1^2 + 0.436*x1*x2 - 0.336*x2^2 - 1.741*x1 - 0.439*x2 - 1.985", 2
     )
-    monkeypatch.setattr(_Anderson, "extrapolate", lambda self, s, t: None)
-    plain = solve(problem)
-    made = []
+    system = box_system(2)
+    blocks = _generator_blocks(system, 4, QUADRATIC_MODULE)
+    problem = _compile(f, system, 4, blocks, bound_scalar=True)
+    c = problem.objective
+    layout = _layout(problem.block_sizes)
+    extrapolate = _Anderson.extrapolate
+    moved = []
 
     def far_off(self, s, t):
-        made.append(1)
-        return t + 1e6 if len(made) % 2 else None
+        point = extrapolate(self, s, t)
+        if point is None:
+            return None
+        moved.append(len(moved) % 2 == 0)
+        if not moved[-1]:
+            return point
+        point = point - 1e13 * c
+        assert abs(float(c @ layout.project_psd(point))) > UNBOUNDED_THRESHOLD
+        return point
 
     monkeypatch.setattr(_Anderson, "extrapolate", far_off)
-    undone = solve(problem)
-    assert plain.status == "infeasible-detected"
-    assert undone.anderson_accepted == 0
-    assert undone.anderson_rejected > 0
-    assert (undone.status, undone.iterations, undone.message) == (
-        plain.status, plain.iterations, plain.message
-    )
-    assert np.array_equal(undone.block_values[0], plain.block_values[0])
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert sum(moved) > 0
+    assert sol.anderson_rejected >= sum(moved) - 1  # the last may be unjudged
+    assert sol.objective_value == pytest.approx(4.314, abs=1e-6)
 
 
 def _svec_blocks(sizes, vec):

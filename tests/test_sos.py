@@ -199,6 +199,19 @@ def test_module_membership_mode_guard():
         )
 
 
+def test_stengle_member_is_found_at_a_high_level():
+    # Stengle's family: 1 - x1^2 + eps over (1 - x1^2)^3 >= 0.  At eps = 1/16
+    # a certificate exists at level 12, so at level 14 too; a stall test
+    # that once ended this slow solve after 2,386 iterations reported it
+    # infeasible-detected.
+    target = P("1 - x1^2 + 0.0625")
+    system = SemialgebraicSystem(1, (P("1 - 3*x1^2 + 3*x1^4 - x1^6"),))
+    res = module_membership(MembershipProblem(target, system, 14))
+    assert res.found
+    assert res.status == "feasible"
+    assert verify(res.certificate, target).passed
+
+
 # Sums of two sparse squares in two variables (exponents (a, b) stand for
 # x1^a x2^b).  Each one's Gram matrix over the degree-2 basis must vanish on
 # two basis monomials, so its SDP has no interior point.  Without the
@@ -410,13 +423,69 @@ def test_infeasible_reason_names_its_evidence(monkeypatch):
     assert exact.status == "infeasible-detected"
     assert "(exact: the level-2 SDP is infeasible" in exact.reason
     assert "untruncated cone" in exact.reason
-    # without the Farkas stop the stall test ends the run, which proves nothing
-    monkeypatch.setattr(sdp, "FARKAS_RHS_TOL", np.inf)
-    stalled = module_membership(MembershipProblem(target, system, level))
-    assert stalled.status == "infeasible-detected"
-    assert stalled.solver["farkas_rhs"] is None
-    assert "stall heuristic, not a proof" in stalled.reason
-    assert "inconclusive" in stalled.reason
+    # a solve cut before its first Farkas check has no evidence: it ends at
+    # the iteration cap, which is inconclusive
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", sdp.CERT_CHECK_EVERY - 1)
+    capped = module_membership(MembershipProblem(target, system, level))
+    assert capped.status == "max-iterations"
+    assert capped.solver["farkas_rhs"] is None
+    assert capped.solver["message"].startswith("iteration cap reached")
+    assert "inconclusive" in capped.reason
+
+
+@pytest.mark.parametrize("objective,level", [("-x1", 2), ("-x1^3", 4)])
+def test_unbounded_objective_ends_on_a_farkas_certificate(objective, level):
+    # f is unbounded below on x1 >= 0, so no shift of it is in the cone.  The
+    # presolve cannot see it (b_i != 0); the Farkas check of the
+    # optimization form does, at its first check.
+    res = lasserre_bound(P(objective), SemialgebraicSystem(1, (P("x1"),)), level)
+    assert res.status == "infeasible-detected"
+    assert res.lower_bound == float("-inf")
+    assert res.solver["iterations"] == sdp.CERT_CHECK_EVERY
+    assert res.solver["farkas_rhs"] is not None
+    assert (
+        f"Farkas certificate for level {level}: no Gram certificate exists"
+        in res.reason
+    )
+
+
+def test_every_infeasible_verdict_carries_evidence(monkeypatch):
+    # exact (0 iterations), a Farkas certificate, or an accepted witness:
+    # no other kind of infeasible-detected exists
+    solve = sdp.solve
+    verdicts = []
+
+    def recording(problem, witness=None):
+        sol = solve(problem, witness)
+        if sol.status == "infeasible-detected":
+            verdicts.append(sol)
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    for target, system, level in NON_MEMBERS.values():
+        module_membership(MembershipProblem(target, system, level))
+    module_membership(MembershipProblem(NEGATIVE_ON_BOX, box_system(2), 4))
+    disc = SemialgebraicSystem(2, (P("1 - x1^2 - x2^2"),))
+    preordering_membership(MembershipProblem(NEGATIVE_ON_DISC, disc, 4, PREORDERING))
+    for level in (2, 4, 10):
+        module_membership(MembershipProblem(P("0 - 1"), interval_system(), level))
+    sos_decompose(P("x1^2 - 2*x1"))
+    sos_decompose(P("x1^2 - x1^4"))
+    module_membership(MembershipProblem(P("x1"), SemialgebraicSystem(1, ()), 2))
+    lasserre_bound(P("x1"), SemialgebraicSystem(1, ()), 2)
+    for objective, level in (("-x1", 2), ("-x1^3", 4)):
+        lasserre_bound(P(objective), SemialgebraicSystem(1, (P("x1"),)), level)
+    kinds = set()
+    for sol in verdicts:
+        if sol.iterations == 0:
+            kinds.add("exact")
+        elif sol.farkas_rhs is not None:
+            kinds.add("farkas")
+        elif sol.witness is not None:
+            kinds.add("witness")
+        else:
+            pytest.fail(f"infeasible-detected without evidence: {sol.message}")
+    assert kinds == {"exact", "farkas", "witness"}
 
 
 # A sum of two squares of dense quadratics in three variables, so its Gram
@@ -561,13 +630,10 @@ def test_hierarchy_below_grid_oracle():
 
 def test_lasserre_long_flat_residual_is_not_a_stall():
     # A random hierarchy case (n=2 on the box, level 4) whose SDP sits on a
-    # flat residual for longer than the stall window.  The solver that ran
-    # the stop and stall tests on the plain step of every iteration took
-    # 2,340 iterations here, 2,140 of them on a flat residual of about
-    # 7.5e-4, against STALL_WINDOW = 2,000.  Only |u| staying flat
-    # keeps the stall test from reporting infeasible-detected, so a stall
-    # sample taken at an extrapolated point the safeguard later undoes could
-    # turn this feasible case into a false -inf.
+    # flat residual for most of its run: the solver that ran the stop tests
+    # on the plain step of every iteration took 2,340 iterations here, 2,140
+    # of them on a flat residual of about 7.5e-4.  A slow feasible problem
+    # must run on to its optimum; only a certificate may end it early.
     f = P(
         "-0.249*x1^2 + 0.436*x1*x2 - 0.336*x2^2 - 1.741*x1 - 0.439*x2 - 1.985", 2
     )
