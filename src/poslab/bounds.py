@@ -90,9 +90,6 @@ class DegreeBound:
     value: float
     saturated: bool = False
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "saturated": self.saturated}
-
 
 @dataclass(frozen=True)
 class GapBound:

@@ -28,6 +28,7 @@ from .poly import (
     parse_polynomial,
     weighted_norm,
 )
+from .problemio import load_json
 from .semialg import SemialgebraicSystem
 
 QUADRATIC_MODULE = "quadratic_module"
@@ -357,5 +358,4 @@ def save_certificate(cert: Certificate, path: str) -> None:
 
 
 def load_certificate(path: str) -> Certificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_dict(json.load(fh))
+    return certificate_from_dict(load_json(path, "certificate"))

@@ -45,7 +45,7 @@ from .errors import (
     SolverError,
 )
 from .poly import weighted_norm
-from .problemio import ProblemDocument, load_problem
+from .problemio import ProblemDocument, load_json, load_problem
 from .semialg import feasible_mask, grid_min, grid_points
 
 EXIT_OK = 0
@@ -167,20 +167,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK if result.found else EXIT_INCONCLUSIVE
 
 
-def _load_json(path: str, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} file is not valid JSON: {exc}")
-
-
 def _disproof_point(path: str) -> list[float]:
     """The point of a disproof file: the ``disproof`` object of a
     ``certify`` output."""
-    data = _load_json(path, "disproof")
+    data = load_json(path, "disproof")
     point = data.get("point") if isinstance(data, dict) else None
     if not isinstance(point, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in point
@@ -202,7 +192,7 @@ def cmd_verify(args) -> int:
         fields = dict(report.to_dict(), value=_json_float(report.value))
         _emit_json({"command": "verify", "disproof": fields}, args.output)
         return EXIT_OK if report.passed else EXIT_VERIFICATION
-    cert = certificate_from_dict(_load_json(args.certificate, "certificate"))
+    cert = certificate_from_dict(load_json(args.certificate, "certificate"))
     if cert.system.dimension != problem.dimension or tuple(
         cert.system.constraints
     ) != tuple(problem.system.constraints):

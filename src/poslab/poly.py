@@ -105,15 +105,6 @@ class Polynomial:
     def constant(cls, dimension: int, value: float) -> "Polynomial":
         return cls(dimension, {(0,) * dimension: float(value)})
 
-    @classmethod
-    def variable(cls, dimension: int, index: int) -> "Polynomial":
-        """The monomial x_{index+1} (0-based index)."""
-        if not 0 <= index < dimension:
-            raise InputError(f"variable index {index} out of range for n={dimension}")
-        alpha = [0] * dimension
-        alpha[index] = 1
-        return cls(dimension, {tuple(alpha): 1.0})
-
     # ------------------------------------------------------------------
     # inspection
 
@@ -207,23 +198,13 @@ class Polynomial:
     # evaluation
 
     def evaluate(self, point: Iterable[float]) -> float:
-        """Evaluate at a point, accumulating terms in graded lex order."""
+        """The value at one point: ``evaluate_many`` on a one-row array."""
         x = [float(v) for v in point]
         if len(x) != self.dimension:
             raise DimensionMismatchError(
                 f"point has length {len(x)}, expected {self.dimension}"
             )
-        total = 0.0
-        for alpha, coef in self.terms():
-            term = coef
-            for xi, a in zip(x, alpha):
-                if a:
-                    term *= xi**a
-            total += term
-        return total
-
-    def __call__(self, point: Iterable[float]) -> float:
-        return self.evaluate(point)
+        return float(self.evaluate_many(np.array([x]))[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (N, n) array of points.
@@ -231,10 +212,10 @@ class Polynomial:
         Each power ``pts[:, i] ** a`` is computed once per call, when the
         first term needs it, and reused by every later term.  A term is its
         coefficient times its powers, multiplied left to right over the
-        variables, and the terms accumulate in the same graded lex order as
-        ``evaluate``.  That is the arithmetic of evaluating term by term, so
-        the result is bit-identical to it (and bit-reproducible for identical
-        inputs); only the repeated powers are gone.
+        variables, and the terms accumulate in graded lex order.  Every
+        operation is elementwise, so a point's value does not depend on the
+        other rows: ``evaluate`` gives the same float for it alone, and the
+        result is bit-reproducible for identical inputs.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:

@@ -77,14 +77,23 @@ def problem_from_dict(data: dict) -> ProblemDocument:
     )
 
 
-def load_problem(path: str) -> ProblemDocument:
+def load_json(path: str, what: str):
+    """The JSON document in the file ``path``; ParseError, naming it a
+    ``what`` file, when the file is missing, cannot be read or is not JSON
+    in UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
-        raise ParseError(f"problem file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"problem file is not valid JSON: {exc}") from exc
+        raise ParseError(f"{what} file not found: {path}") from exc
+    except OSError as exc:
+        raise ParseError(f"{what} file cannot be read: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_problem(path: str) -> ProblemDocument:
+    data = load_json(path, "problem")
     if not isinstance(data, dict):
         raise ParseError("problem document must be a JSON object")
     return problem_from_dict(data)

@@ -50,10 +50,9 @@ instead, steps from there and clears the memory.  So a solve makes
 ``iterations + anderson_rejected`` projections, and ``iterations`` counts
 affine steps from kept points.
 
-The breakdown guard (a nonfinite residual) and the divergence guard (an
-objective past ``UNBOUNDED_THRESHOLD`` in absolute value) run once per
-iteration, on the point the loop continues from, after the safeguard's
-verdict on it: they never act on a point the safeguard undoes.
+The breakdown guard (a nonfinite residual raises ``SolverError``) runs
+once per iteration, on the point the loop continues from, after the
+safeguard's verdict on it: it never acts on a point the safeguard undoes.
 
 The PSD-side iterate is exactly PSD at every step, so a run can stop as soon
 as that iterate satisfies the equalities:
@@ -143,30 +142,29 @@ Statuses
     * a value the caller's witness predicate accepted (feasibility problems
       only, "disproof" in the message, ``witness`` holds the value).
 ``max-iterations``
-    neither of the above within ``MAX_ITERATIONS`` (the iteration cap is the
-    only fallback stop), or the objective passed ``UNBOUNDED_THRESHOLD`` in
-    absolute value.
+    neither of the above within ``MAX_ITERATIONS``: the iteration cap is the
+    only fallback stop.  An unbounded optimization problem ends here too;
+    the solver proves no unboundedness.
 
-Every setting above is a module constant; the one setting read at run time
-is the total dimension cap, ``DEFAULT_MAX_TOTAL_DIM`` unless the environment
-variable ``POSLAB_MAX_SDP_DIM`` gives another.
+Every setting above is a module constant, and so is the cap on the total
+dimension, ``MAX_TOTAL_DIM``; nothing is read at run time.
 
-Returned block values always come from the cone projection (exactly PSD);
-``primal_residual`` reports how well they satisfy the equality constraints.
+Every verdict returns the same way.  Block values come from the cone
+projection (exactly PSD; all zero for a verdict at 0 iterations), zero-padded
+to the original sizes, and ``primal_residual``, ``min_eigenvalue`` and
+``objective_value`` are measured on those blocks and the problem as given.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, InputError, SolverError
 
-DEFAULT_MAX_TOTAL_DIM = 400     # total dimension cap unless SDP_DIM_ENV_VAR is set
-SDP_DIM_ENV_VAR = "POSLAB_MAX_SDP_DIM"
+MAX_TOTAL_DIM = 400             # cap on the sum of the block sizes
 EQ_TOL = 1e-8                   # contract: ||A(Q) - b||_inf for ok output
 STOP_TOL = 5e-10                # high-precision exit for all residuals
 CERT_GAP_TOL = 3e-7             # certified exit: relative primal-dual gap
@@ -174,7 +172,6 @@ CERT_EIG_TOL = 5e-7             # certified exit: dual slack eigenvalue floor
 CERT_CHECK_EVERY = 25
 MAX_ITERATIONS = 150_000
 OVER_RELAXATION = 1.6
-UNBOUNDED_THRESHOLD = 1e12
 ANDERSON_MEMORY = 8
 ANDERSON_REGULARIZATION = 1e-10  # relative Tikhonov weight of the least-squares fit
 FARKAS_EIG_TOL = 1e-9           # Farkas test: lambda_min(A^T y) floor at |A^T y| = 1
@@ -219,18 +216,6 @@ class SdpProblem:
     @property
     def total_dim(self) -> int:
         return sum(self.block_sizes)
-
-
-def _max_total_dim() -> int:
-    """The total dimension cap: ``POSLAB_MAX_SDP_DIM`` if set, else
-    ``DEFAULT_MAX_TOTAL_DIM``."""
-    env = os.environ.get(SDP_DIM_ENV_VAR)
-    if env is None:
-        return DEFAULT_MAX_TOTAL_DIM
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"{SDP_DIM_ENV_VAR} must be an integer, got {env!r}")
 
 
 def _trace_bound(rhs: float, lam: float) -> float:
@@ -520,11 +505,9 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
     order, unscaled and 0 on the rows the presolve dropped.  A return value
     other than None ends the run as ``infeasible-detected`` and is kept in
     ``SdpSolution.witness``; see *Farkas certificates*."""
-    cap = _max_total_dim()
-    if problem.total_dim > cap:
+    if problem.total_dim > MAX_TOTAL_DIM:
         raise CapacityError(
-            f"total SDP dimension {problem.total_dim} exceeds cap {cap} "
-            f"(override via {SDP_DIM_ENV_VAR})"
+            f"total SDP dimension {problem.total_dim} exceeds cap {MAX_TOTAL_DIM}"
         )
     full = _layout(tuple(problem.block_sizes))
     c_full = np.zeros(full.total) if problem.objective is None else problem.objective
@@ -538,52 +521,33 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
         b = problem.rhs[face.rows]
         c_vec = c_full[face.columns]
         rows = face.rows
-    presolve_counts = {
-        "facial_reduction_dim": 0 if face is None else face.dim,
-        "facial_reduction_rows": len(problem.rhs) - len(rows),
-    }
     n = layout.total
-    m = len(b)
     has_objective = bool(np.any(c_vec))
 
-    # Row scaling; a zero row with nonzero rhs is an immediate contradiction.
-    row_scale = np.linalg.norm(a_mat, axis=1) if m else np.zeros(0)
+    # Row scaling.  The face path scales its own np.ix_ copy of A in place;
+    # the caller's A is divided into a new array, which costs less than
+    # copying it first.
+    row_scale = np.linalg.norm(a_mat, axis=1)
     zero_rows = row_scale < 1e-12
     contradictions = np.flatnonzero(zero_rows & (np.abs(b) > 1e-12))
+    row_scale[zero_rows] = 1.0
+    a_hat = np.divide(a_mat, row_scale[:, None], out=None if face is None else a_mat)
+    b_hat = b / row_scale
+    gram_pinv = np.linalg.pinv(a_hat @ a_hat.T, rcond=1e-12, hermitian=True)
+    # an inconsistent equality system is exactly detectable: the
+    # least-squares point cannot satisfy the constraints
+    ls_point = a_hat.T @ (gram_pinv @ b_hat)
+    ls_residual = float(np.abs(a_hat @ ls_point - b_hat).max(initial=0.0))
+
+    status: str | None = None  # set by the verdict that ends the run
+    message = ""
     if contradictions.size:
         i = contradictions[0]
-        return SdpSolution(
-            status="infeasible-detected",
-            block_values=full.unpack(np.zeros(full.total)),
-            objective_value=0.0,
-            primal_residual=abs(b[i]),
-            min_eigenvalue=0.0,
-            iterations=0,
-            message=f"constraint {rows[i]} reads 0 = {b[i]}",
-            **presolve_counts,
-        )
-    row_scale[zero_rows] = 1.0
-    a_hat = a_mat / row_scale[:, None] if m else a_mat
-    b_hat = b / row_scale if m else b
-    gram_pinv = (
-        np.linalg.pinv(a_hat @ a_hat.T, rcond=1e-12, hermitian=True) if m else None
-    )
-    if m:
-        # an inconsistent equality system is exactly detectable: the
-        # least-squares point cannot satisfy the constraints
-        ls_point = a_hat.T @ (gram_pinv @ b_hat)
-        ls_residual = float(np.abs(a_hat @ ls_point - b_hat).max())
-        if ls_residual > 1e-8 * max(1.0, float(np.abs(b_hat).max())):
-            return SdpSolution(
-                status="infeasible-detected",
-                block_values=full.unpack(np.zeros(full.total)),
-                objective_value=0.0,
-                primal_residual=float(np.abs(a_mat @ ls_point - b).max()),
-                min_eigenvalue=0.0,
-                iterations=0,
-                message="equality constraints are mutually inconsistent",
-                **presolve_counts,
-            )
+        status = "infeasible-detected"
+        message = f"constraint {rows[i]} reads 0 = {b[i]}"
+    elif ls_residual > 1e-8 * max(1.0, float(np.abs(b_hat).max(initial=0.0))):
+        status = "infeasible-detected"
+        message = "equality constraints are mutually inconsistent"
 
     rho_eff = max(1.0, float(np.linalg.norm(c_vec)))
     drift = c_vec / rho_eff
@@ -593,18 +557,15 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
         """One ADMM step from (z, u) up to the cone projection: the affine
         multiplier, the affine projection x and the point T(s)."""
         w = z - u - drift
-        if m:
-            mu = gram_pinv @ (a_hat @ w - b_hat)
-            x = w - a_hat.T @ mu
-        else:
-            mu, x = np.zeros(0), w
+        mu = gram_pinv @ (a_hat @ w - b_hat)
+        x = w - a_hat.T @ mu
         return mu, x, OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z + u
 
     def measure(x, z):
         """The consensus gap |x - z| and the equality residual of z at the
         projected point z = P(s) reached from the affine projection x."""
-        gap = float(np.abs(x - z).max()) if n else 0.0
-        aff = float(np.abs((a_hat @ z - b_hat) * row_scale).max()) if m else 0.0
+        gap = float(np.abs(x - z).max(initial=0.0))
+        aff = float(np.abs((a_hat @ z - b_hat) * row_scale).max(initial=0.0))
         return gap, aff
 
     def as_given(y):
@@ -632,9 +593,6 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
 
     z = np.zeros(n)
     u = np.zeros(n)
-    status = "max-iterations"
-    message = ""
-    iterations = MAX_ITERATIONS
     gap = aff = 0.0
     dual_gap: float | None = None
 
@@ -646,10 +604,11 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
     safe_norm = np.inf
     pending = False
     accepted = rejected = 0
-    farkas = None
-    found = None
+    farkas_y = farkas_rhs = farkas_lam = found = None
 
-    for it in range(1, MAX_ITERATIONS + 1):
+    it = 0
+    while status is None and it < MAX_ITERATIONS:
+        it += 1
         mu, x, t = plain_step(z, u)
         res_norm = float(np.linalg.norm(t - s))
         if pending:
@@ -666,17 +625,13 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
                 u = s - z
                 mu, x, t = plain_step(z, u)
                 res_norm = float(np.linalg.norm(t - s))
-        # The guards judge the point the loop continues from, iteration
+        # The guard judges the point the loop continues from, iteration
         # it - 1's, never one the safeguard undid.
         if not np.isfinite(res_norm):
             raise SolverError(
                 "numerical breakdown: nonfinite residual",
                 {"iteration": it - 1, "residual": res_norm},
             )
-        if has_objective and abs(float(c_vec @ z)) > UNBOUNDED_THRESHOLD:
-            message = "objective diverged; problem may be unbounded"
-            iterations = it - 1
-            break
         safe_norm = res_norm
         s_next = anderson.extrapolate(s, t)
         pending = s_next is not None
@@ -688,15 +643,14 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
         z_new = layout.project_psd(s)
         u_prev, u = u, s - z_new
         gap, aff = measure(x, z_new)
-        step = float(np.abs(z_new - z).max()) if n else 0.0
+        step = float(np.abs(z_new - z).max(initial=0.0))
         z = z_new
 
         if has_objective:
             if aff <= STOP_TOL and gap <= STOP_TOL and step <= STOP_TOL:
                 status = "optimal"
-                iterations = it
                 break
-            if m and aff <= EQ_TOL and it % CERT_CHECK_EVERY == 0:
+            if aff <= EQ_TOL and it % CERT_CHECK_EVERY == 0:
                 # The affine multiplier yields a dual candidate: at a fixed
                 # point c - A^T y equals the (PSD) normal-cone element.
                 # With the equality contract already met, a certified
@@ -710,16 +664,14 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
                     slack_eig = layout.min_eigenvalue(c_vec - a_hat.T @ y)
                     if slack_eig >= -CERT_EIG_TOL * c_scale:
                         status = "optimal"
-                        iterations = it
                         dual_gap = pd_gap
                         break
         elif aff <= STOP_TOL:
             # z is exactly PSD; meeting the equalities makes it a certificate.
             status = "feasible"
-            iterations = it
             break
 
-        if m and it % CERT_CHECK_EVERY == 0:
+        if it % CERT_CHECK_EVERY == 0:
             # On an infeasible problem the dual step u_prev - u tends to a
             # PSD vector normal to the affine set, whatever the objective,
             # and its least-squares multiplier is then a Farkas certificate.
@@ -729,7 +681,6 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
                 found = witness(as_given(y))
                 if found is not None:
                     status = "infeasible-detected"
-                    iterations = it
                     message = (
                         "disproof: the witness accepted the Farkas "
                         f"candidate of iteration {it}"
@@ -737,53 +688,47 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
                     break
             farkas = farkas_certificate(y)
             if farkas is not None:
+                y, farkas_rhs, farkas_lam = farkas
+                farkas_y = as_given(y)
+                shows = (
+                    "no PSD solution exists" if farkas_lam >= 0.0
+                    else "every PSD solution has trace >= "
+                    f"{_trace_bound(farkas_rhs, farkas_lam):.3e}"
+                )
                 status = "infeasible-detected"
-                iterations = it
+                message = (
+                    f"Farkas certificate: b^T y = {farkas_rhs:.3e} with "
+                    f"lambda_min(A^T y) = {farkas_lam:.3e} at |A^T y| = 1, so {shows}"
+                )
                 break
-    else:
+    if status is None:
+        status = "max-iterations"
         message = f"iteration cap reached with residual {max(gap, aff):.3e}"
 
-    farkas_fields = {}
-    if farkas is not None:
-        y, rhs, lam = farkas
-        farkas_fields = {
-            "farkas_rhs": rhs, "farkas_min_eigenvalue": lam,
-            "farkas_y": as_given(y),
-        }
-        shows = (
-            "no PSD solution exists" if lam >= 0.0
-            else f"every PSD solution has trace >= {_trace_bound(rhs, lam):.3e}"
-        )
-        message = (
-            f"Farkas certificate: b^T y = {rhs:.3e} with lambda_min(A^T y) = "
-            f"{lam:.3e} at |A^T y| = 1, so {shows}"
-        )
-
+    # One result for every verdict: the blocks zero-padded back to the
+    # original sizes (the fixed Gram rows and columns are exactly zero) and
+    # measured on the problem as given.
     if face is not None:
-        # zero-pad back: the fixed Gram rows and columns are exactly zero
         z_face, z = z, np.zeros(full.total)
         z[face.columns] = z_face
-    blocks = full.unpack(z)
-    min_eig = full.min_eigenvalue(z)
-    primal_residual = (
-        float(np.abs(problem.constraints @ z - problem.rhs).max())
-        if len(problem.rhs) else 0.0
-    )
-    objective_value = float(c_full @ z)
-
     return SdpSolution(
         status=status,
-        block_values=blocks,
-        objective_value=objective_value,
-        primal_residual=primal_residual,
-        min_eigenvalue=min_eig,
-        iterations=iterations,
+        block_values=full.unpack(z),
+        objective_value=float(c_full @ z),
+        primal_residual=float(
+            np.abs(problem.constraints @ z - problem.rhs).max(initial=0.0)
+        ),
+        min_eigenvalue=full.min_eigenvalue(z),
+        iterations=it,
         consensus_gap=gap,
         dual_gap=dual_gap,
         message=message,
         anderson_accepted=accepted,
         anderson_rejected=rejected,
-        **presolve_counts,
-        **farkas_fields,
+        facial_reduction_dim=0 if face is None else face.dim,
+        facial_reduction_rows=len(problem.rhs) - len(rows),
+        farkas_rhs=farkas_rhs,
+        farkas_min_eigenvalue=farkas_lam,
+        farkas_y=farkas_y,
         witness=found,
     )

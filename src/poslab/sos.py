@@ -419,8 +419,8 @@ def lasserre_bound(
     ``infeasible-detected`` (exactly or by a Farkas certificate; the reason
     says which), or the solver's certificate fails independent verification
     (it stays in the result, with its report, for diagnostics).  Only a
-    solve that ends with ``max-iterations`` (the iteration cap, or a
-    diverging objective) raises SolverError.
+    solve that ends with ``max-iterations`` (the iteration cap) raises
+    SolverError.
     """
     if f.dimension != system.dimension:
         raise DimensionMismatchError(

@@ -310,6 +310,31 @@ def test_certificate_file_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "certificate file not found"),
+        (b"not json {", "certificate file is not valid JSON"),
+        (b"\xff\xfe{", "certificate file is not valid JSON"),  # not UTF-8
+        ("directory", "certificate file cannot be read"),
+    ],
+    ids=["missing", "not-json", "not-utf8", "directory"],
+)
+def test_load_certificate_unreadable_file_is_a_parse_error(tmp_path, content, message):
+    from poslab import ParseError, load_certificate, load_problem
+
+    path = tmp_path / "cert.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ParseError, match=message):
+        load_certificate(str(path))
+    # the problem loader reads files the same way
+    with pytest.raises(ParseError, match=message.replace("certificate", "problem")):
+        load_problem(str(path))
+
+
 # ----------------------------------------------------------------------
 # disproofs
 

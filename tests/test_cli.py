@@ -570,10 +570,12 @@ def test_unknown_command_exits_1():
     assert main(["frobnicate"]) == 1
 
 
-def test_env_cap_override(tmp_path, shifted_problem, monkeypatch):
-    monkeypatch.setenv("POSLAB_MAX_SDP_DIM", "2")
+def test_dimension_cap_constant_override(tmp_path, shifted_problem, monkeypatch):
+    from poslab import sdp
+
+    monkeypatch.setattr(sdp, "MAX_TOTAL_DIM", 2)
     assert main(["solve", "--input", shifted_problem, "--level", "2"]) == 1
-    monkeypatch.delenv("POSLAB_MAX_SDP_DIM")
+    monkeypatch.undo()
     out = tmp_path / "ok.json"
     assert main(["solve", "--input", shifted_problem, "--level", "2",
                  "--output", str(out)]) == 0

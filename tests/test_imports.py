@@ -8,6 +8,7 @@ dependency.
 """
 
 import ast
+import importlib
 import os
 import sys
 
@@ -66,3 +67,30 @@ def test_imports_are_stdlib_numpy_or_relative():
                 if module.split(".")[0] not in ALLOWED_TOP_LEVEL
             ]
     assert found == []
+
+
+# Every binding the benchmark harness (perfbench/) wraps to time a layer or
+# imports to run and check its cases, by the module that holds it.  A
+# refactor that drops or moves one breaks a traced benchmark run; the list
+# is kept here by hand, so this test does not import the harness.
+BENCHMARK_BINDINGS = {
+    "cli": ("main", "load_problem", "verify", "certificate_to_dict",
+            "certificate_from_dict", "grid_min"),
+    "sos": ("lasserre_bound", "module_membership", "preordering_membership", "verify"),
+    "sdp": ("solve",),
+    "bounds": ("grid_min", "lifting_parameters", "find_lifting_k", "lojasiewicz_estimate"),
+    "semialg": ("grid_min", "default_points_per_axis"),
+    "problemio": ("load_problem",),
+}
+
+
+def test_benchmark_bindings_exist():
+    missing = [
+        f"{module}.{name}"
+        for module, names in BENCHMARK_BINDINGS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"poslab.{module}"), name, None))
+    ]
+    if not callable(getattr(poslab.Polynomial, "evaluate_many", None)):
+        missing.append("poly.Polynomial.evaluate_many")
+    assert missing == []

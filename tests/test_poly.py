@@ -100,6 +100,21 @@ def test_evaluate_many_matches_scalar():
             assert vec[i] == pytest.approx(f.evaluate(pts[i]), abs=1e-12)
 
 
+def test_evaluate_is_bit_identical_to_its_row_of_evaluate_many():
+    # one evaluator: a point alone gives exactly the float it gets in a batch
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            terms = {
+                tuple(int(a) for a in rng.integers(0, 7, size=n)): float(rng.normal())
+                for _ in range(int(rng.integers(1, 10)))
+            }
+            f = Polynomial(n, terms)
+            pts = rng.normal(size=(50, n)) * rng.choice([1e-3, 1.0, 10.0, 1e3])
+            vec = f.evaluate_many(pts)
+            assert [f.evaluate(x) for x in pts] == vec.tolist()
+
+
 def _evaluate_term_by_term(f: Polynomial, pts: np.ndarray) -> np.ndarray:
     # the reference: every term recomputes its powers
     total = np.zeros(pts.shape[0])

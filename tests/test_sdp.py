@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from poslab import CapacityError, InputError, SdpProblem, solve
+from poslab import CapacityError, InputError, SdpProblem, sdp, solve
 from poslab.certificate import DEFAULT_PSD_TOL
-from poslab.sdp import CERT_CHECK_EVERY, EQ_TOL, SDP_DIM_ENV_VAR
+from poslab.sdp import CERT_CHECK_EVERY, EQ_TOL
 
 
 def _svec(mats, sizes):
@@ -148,11 +148,12 @@ def test_dimension_cap():
         solve(problem)
 
 
-def test_dimension_cap_env_override(monkeypatch):
+def test_dimension_cap_follows_the_constant(monkeypatch):
+    # the cap is read from the module constant at each call
     problem = _problem((401,), ())
-    monkeypatch.setenv(SDP_DIM_ENV_VAR, "450")
+    monkeypatch.setattr(sdp, "MAX_TOTAL_DIM", 450)
     assert solve(problem).ok
-    monkeypatch.setenv(SDP_DIM_ENV_VAR, "100")
+    monkeypatch.setattr(sdp, "MAX_TOTAL_DIM", 100)
     with pytest.raises(CapacityError):
         solve(problem)
 
@@ -278,15 +279,15 @@ def test_anderson_counters_on_feasibility_form(monkeypatch):
     assert diag["anderson_accepted"] + diag["anderson_rejected"] == sum(made[:-1])
 
 
-def test_guards_never_act_on_undone_points(monkeypatch):
+def test_breakdown_guard_never_acts_on_undone_points(monkeypatch):
     # The hierarchy SDP of a box case (n=2, level 4) with a long flat
-    # residual.  Every other extrapolated point is moved 1e13 along -c, so
-    # its projection has an objective past UNBOUNDED_THRESHOLD; the
-    # safeguard undoes each of them.  Had the divergence guard looked at one,
-    # the run would end max-iterations; it must end optimal.
+    # residual.  Every other extrapolated point is moved 1e200 along -c, so
+    # its fixed-point residual ||T(s) - s|| overflows to inf; the safeguard
+    # undoes each of them.  Had the breakdown guard looked at one, the run
+    # would raise SolverError; it must end optimal.
     from conftest import box_system
     from poslab import QUADRATIC_MODULE, parse_polynomial
-    from poslab.sdp import UNBOUNDED_THRESHOLD, _Anderson, _layout
+    from poslab.sdp import OVER_RELAXATION, _Anderson, _layout
     from poslab.sos import _compile, _generator_blocks
 
     f = parse_polynomial(
@@ -295,8 +296,20 @@ def test_guards_never_act_on_undone_points(monkeypatch):
     system = box_system(2)
     blocks = _generator_blocks(system, 4, QUADRATIC_MODULE)
     problem = _compile(f, system, 4, blocks, bound_scalar=True)
-    c = problem.objective
+    a, b, c = problem.constraints, problem.rhs, problem.objective
     layout = _layout(problem.block_sizes)
+    a_pinv = np.linalg.pinv(a)
+    drift = c / max(1.0, float(np.linalg.norm(c)))
+
+    def residual(s):
+        """||T(s) - s|| of one ADMM step from s, computed independently."""
+        z = layout.project_psd(s)
+        u = s - z
+        w = z - u - drift
+        x = w - a_pinv @ (a @ w - b)
+        t = OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z + u
+        return float(np.linalg.norm(t - s))
+
     extrapolate = _Anderson.extrapolate
     moved = []
 
@@ -307,15 +320,19 @@ def test_guards_never_act_on_undone_points(monkeypatch):
         moved.append(len(moved) % 2 == 0)
         if not moved[-1]:
             return point
-        point = point - 1e13 * c
-        assert abs(float(c @ layout.project_psd(point))) > UNBOUNDED_THRESHOLD
+        point = point - 1e200 * c
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(residual(point))
         return point
 
     monkeypatch.setattr(_Anderson, "extrapolate", far_off)
-    sol = solve(problem)
+    with np.errstate(over="ignore"):  # the residual of each moved point
+        sol = solve(problem)
     assert sol.status == "optimal"
     assert sum(moved) > 0
     assert sol.anderson_rejected >= sum(moved) - 1  # the last may be unjudged
+    assert sol.iterations == 2325
+    assert sol.anderson_rejected == 248
     assert sol.objective_value == pytest.approx(4.314, abs=1e-6)
 
 
@@ -575,3 +592,30 @@ def test_zero_row_scan_reports_the_first_contradiction():
     assert sol.status == "infeasible-detected"
     assert sol.iterations == 0
     assert sol.message == "constraint 1 reads 0 = 2.0"
+
+
+@pytest.mark.parametrize(
+    "sizes, rows, objective, residual",
+    [
+        # Q = 1 and Q = 2: mutually inconsistent
+        ((1,), (((np.eye(1),), 1.0), ((np.eye(1),), 2.0)), (3.0 * np.eye(1),), 2.0),
+        # Q = 5, then a zero row reading 0 = 2
+        ((1,), (((np.eye(1),), 5.0), ((np.zeros((1, 1)),), 2.0)), None, 5.0),
+        # the presolve fixes Q00 = 0, and what is left of row 2 reads 0 = 1
+        ((2,), (((E11,), 0.0), ((E22,), 1.0), ((E12,), 1.0)), (-E22,), 1.0),
+    ],
+    ids=["inconsistent", "zero-row", "zero-row-on-a-face"],
+)
+def test_zero_iteration_verdicts_measure_their_blocks(sizes, rows, objective, residual):
+    # A verdict at 0 iterations returns zero blocks; its residual, eigenvalue
+    # and objective are those of these blocks on the problem as given.
+    problem = _problem(sizes, rows, objective)
+    sol = solve(problem)
+    assert (sol.status, sol.iterations) == ("infeasible-detected", 0)
+    z = _svec(sol.block_values, sizes)
+    assert not z.any()
+    assert sol.primal_residual == float(np.abs(problem.constraints @ z - problem.rhs).max())
+    assert sol.primal_residual == residual
+    assert sol.min_eigenvalue == min(np.linalg.eigvalsh(q).min() for q in sol.block_values)
+    c = np.zeros_like(z) if problem.objective is None else problem.objective
+    assert sol.objective_value == float(c @ z) == 0.0
