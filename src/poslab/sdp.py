@@ -7,9 +7,10 @@ Solves
                 Q_j PSD                      (j = 1..blocks)
 
 with an over-relaxed ADMM scheme that alternates projection onto the affine
-subspace (one dense pseudo-inverse, precomputed) and projection onto the PSD
-cone (eigendecomposition with negative eigenvalues clipped), the linear
-objective entering the affine step as a constant drift.  Simple,
+subspace (one dense pseudo-inverse of A A^T, taken with the rows scaled to
+unit norm and scaled back, so that the steps use A as given) and projection
+onto the PSD cone (eigendecomposition with negative eigenvalues clipped), the
+linear objective entering the affine step as a constant drift.  Simple,
 dependency-free, deterministic, and adequate for Gram matrices of side up to
 a few tens.
 
@@ -74,31 +75,30 @@ shortest vector from the PSD cone to the affine set (Banjac, Goulart,
 Stellato & Boyd 2019), whatever the objective.  Its negative z* - x* is PSD
 and normal to the affine set, so it is A^T y for a Farkas certificate y.
 Every ``CERT_CHECK_EVERY`` iterations a solve of either form takes the last
-step d = u_prev - u, fits y = (A A^T)^+ A d against the row-scaled system
-by least squares and scales it to |A^T y| = 1.  It accepts y when
-b^T y < -``FARKAS_RHS_TOL`` and lambda_min(A^T y) >= -``FARKAS_EIG_TOL``.
+step d = u_prev - u, fits y = (A A^T)^+ A d by least squares and scales it
+to |A^T y| = 1.  It accepts y when b^T y < -``FARKAS_RHS_TOL`` and
+lambda_min(A^T y) >= -``FARKAS_EIG_TOL``.
 The test is plain algebra on y, whatever point the step came from (one the
 safeguard later undoes is as good a source as any).
 
 What y proves: for every PSD Q with A(Q) = b, b^T y = <A^T y, Q> >=
 lambda_min(A^T y) trace(Q).  With lambda_min = -delta < 0, every PSD
-solution of the reduced, row-scaled system has trace(Q) >= |b^T y| / delta
-(row scaling leaves Q alone); with lambda_min >= 0, none exists.  The
-presolve below is exact, so a certificate for the reduced problem proves
-the same of the problem as given.  For a membership SDP, y is a truncated
+solution of the reduced system has trace(Q) >= |b^T y| / delta; with
+lambda_min >= 0, none exists.  The presolve below is exact, so a
+certificate for the reduced problem proves the same of the problem as
+given.  For a membership SDP, y is a truncated
 pseudo-moment functional (Lasserre's dual): PSD moment and localizing
 matrices, negative on the target.
 
 A caller that can read more from y passes ``solve`` a witness predicate.
 At each check, before the Farkas test, the loop computes y once and hands it
-to the predicate in the original row order, unscaled, with 0 on the rows the
-presolve dropped (the form of ``farkas_y``); the Farkas test then uses the
-same y.  A return value other than None ends the run as
-``infeasible-detected`` with a "disproof" message, and
-``SdpSolution.witness`` holds it.  The predicate alone vouches for what it
-accepts: ``sos`` uses it to read a point of the feasible set where the
-target is negative from y's first moments, and checks that point exactly.
-Optimization solves never call it.
+to the predicate in the original row order, with 0 on the rows the presolve
+dropped (the form of ``farkas_y``); the Farkas test then uses the same y.
+A return value other than None ends the run as ``infeasible-detected``
+with a "disproof" message, and ``SdpSolution.witness`` holds it.  The
+predicate alone vouches for what it accepts: ``sos`` uses it to read a point
+of the feasible set where the target is negative from y's first moments,
+and checks that point exactly.  Optimization solves never call it.
 
 Presolve
 --------
@@ -240,13 +240,13 @@ class SdpSolution:
     anderson_rejected: int = 0  # extrapolated points undone by the safeguard
     facial_reduction_dim: int = 0   # Gram rows/columns the presolve fixed at zero
     facial_reduction_rows: int = 0  # equality rows the presolve dropped
-    # A Farkas certificate y of the reduced, row-scaled system, scaled to
-    # |A^T y| = 1: b^T y and lambda_min(A^T y); None without one.
+    # A Farkas certificate y of the reduced system, scaled to |A^T y| = 1:
+    # b^T y and lambda_min(A^T y); None without one.
     farkas_rhs: float | None = None
     farkas_min_eigenvalue: float | None = None
-    # y in the original row order, unscaled, 0 on the rows the presolve
-    # dropped: with the original A, A^T y restricted to the Gram rows and
-    # columns the presolve kept is the certificate
+    # y in the original row order, 0 on the rows the presolve dropped: with
+    # the original A, A^T y restricted to the Gram rows and columns the
+    # presolve kept is the certificate
     farkas_y: np.ndarray | None = None
     # what the caller's witness predicate returned when it ended the run
     witness: object | None = None
@@ -462,14 +462,14 @@ def _facial_reduction(
     no row forces anything new; rows left all zero with b_i == 0 are dropped.
     Every comparison is exact."""
     zero_rhs = np.flatnonzero(b == 0)
-    magnitude = a_mat[zero_rhs]
-    np.abs(magnitude, out=magnitude)
-    off_diagonal = (~layout.diagonal).astype(float)
+    pattern = (a_mat != 0)[zero_rhs]
+    off_diagonal = ~layout.diagonal
     fixed = np.zeros(sum(layout.sizes), dtype=bool)
     alive = gram = None
     while True:
-        weights = off_diagonal if alive is None else off_diagonal * alive
-        candidates = zero_rhs[magnitude @ weights == 0]
+        # boolean matmul: does the row have a nonzero on a live off-diagonal?
+        live = off_diagonal if alive is None else off_diagonal & alive
+        candidates = zero_rhs[~(pattern @ live)]
         entries = a_mat[candidates]
         if alive is not None:
             entries = np.where(alive, entries, 0.0)
@@ -502,8 +502,8 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
 
     ``witness``, if given, is called on each Farkas candidate of a
     feasibility solve, before the Farkas test, with y in the original row
-    order, unscaled and 0 on the rows the presolve dropped.  A return value
-    other than None ends the run as ``infeasible-detected`` and is kept in
+    order and 0 on the rows the presolve dropped.  A return value other
+    than None ends the run as ``infeasible-detected`` and is kept in
     ``SdpSolution.witness``; see *Farkas certificates*."""
     if problem.total_dim > MAX_TOTAL_DIM:
         raise CapacityError(
@@ -524,20 +524,21 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
     n = layout.total
     has_objective = bool(np.any(c_vec))
 
-    # Row scaling.  The face path scales its own np.ix_ copy of A in place;
-    # the caller's A is divided into a new array, which costs less than
-    # copying it first.
-    row_scale = np.linalg.norm(a_mat, axis=1)
+    # The row scaling lives in the pseudo-inverse alone: (A A^T)^+ taken of
+    # the row-scaled Gram matrix, so A itself is used as given.
+    row_scale = np.sqrt(np.einsum("ij,ij->i", a_mat, a_mat))
     zero_rows = row_scale < 1e-12
     contradictions = np.flatnonzero(zero_rows & (np.abs(b) > 1e-12))
     row_scale[zero_rows] = 1.0
-    a_hat = np.divide(a_mat, row_scale[:, None], out=None if face is None else a_mat)
-    b_hat = b / row_scale
-    gram_pinv = np.linalg.pinv(a_hat @ a_hat.T, rcond=1e-12, hermitian=True)
+    outer = np.outer(row_scale, row_scale)
+    gram_pinv = (
+        np.linalg.pinv((a_mat @ a_mat.T) / outer, rcond=1e-12, hermitian=True) / outer
+    )
     # an inconsistent equality system is exactly detectable: the
-    # least-squares point cannot satisfy the constraints
-    ls_point = a_hat.T @ (gram_pinv @ b_hat)
-    ls_residual = float(np.abs(a_hat @ ls_point - b_hat).max(initial=0.0))
+    # least-squares point cannot satisfy the constraints (residual and
+    # threshold per unit row norm)
+    ls_point = a_mat.T @ (gram_pinv @ b)
+    ls_residual = float(np.abs((a_mat @ ls_point - b) / row_scale).max(initial=0.0))
 
     status: str | None = None  # set by the verdict that ends the run
     message = ""
@@ -545,7 +546,7 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
         i = contradictions[0]
         status = "infeasible-detected"
         message = f"constraint {rows[i]} reads 0 = {b[i]}"
-    elif ls_residual > 1e-8 * max(1.0, float(np.abs(b_hat).max(initial=0.0))):
+    elif ls_residual > 1e-8 * max(1.0, float(np.abs(b / row_scale).max(initial=0.0))):
         status = "infeasible-detected"
         message = "equality constraints are mutually inconsistent"
 
@@ -557,33 +558,32 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
         """One ADMM step from (z, u) up to the cone projection: the affine
         multiplier, the affine projection x and the point T(s)."""
         w = z - u - drift
-        mu = gram_pinv @ (a_hat @ w - b_hat)
-        x = w - a_hat.T @ mu
+        mu = gram_pinv @ (a_mat @ w - b)
+        x = w - a_mat.T @ mu
         return mu, x, OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z + u
 
     def measure(x, z):
         """The consensus gap |x - z| and the equality residual of z at the
         projected point z = P(s) reached from the affine projection x."""
         gap = float(np.abs(x - z).max(initial=0.0))
-        aff = float(np.abs((a_hat @ z - b_hat) * row_scale).max(initial=0.0))
+        aff = float(np.abs(a_mat @ z - b).max(initial=0.0))
         return gap, aff
 
     def as_given(y):
-        """y of the reduced, row-scaled system in the original row order,
-        unscaled, with 0 on the rows the presolve dropped."""
+        """y of the reduced system in the original row order, with 0 on the
+        rows the presolve dropped."""
         y_full = np.zeros(len(problem.rhs))
-        y_full[rows] = y / row_scale
+        y_full[rows] = y
         return y_full
 
     def farkas_certificate(y):
         """The Farkas candidate y checked: y, b^T y and lambda_min(A^T y) of
-        the reduced, row-scaled system at |A^T y| = 1, or None when y fails
-        the test."""
-        aty = a_hat.T @ y
+        the reduced system at |A^T y| = 1, or None when y fails the test."""
+        aty = a_mat.T @ y
         norm = float(np.linalg.norm(aty))
         if not norm > 0.0:
             return None
-        rhs = float(b_hat @ y) / norm
+        rhs = float(b @ y) / norm
         if not rhs < -FARKAS_RHS_TOL:
             return None
         lam = layout.min_eigenvalue(aty / norm)
@@ -658,10 +658,10 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
                 # faces otherwise impose on the consensus residual.
                 y = -rho_eff * mu
                 primal = float(c_vec @ z)
-                dual_val = float(b_hat @ y)
+                dual_val = float(b @ y)
                 pd_gap = abs(primal - dual_val)
                 if pd_gap <= CERT_GAP_TOL * (1.0 + abs(primal) + abs(dual_val)):
-                    slack_eig = layout.min_eigenvalue(c_vec - a_hat.T @ y)
+                    slack_eig = layout.min_eigenvalue(c_vec - a_mat.T @ y)
                     if slack_eig >= -CERT_EIG_TOL * c_scale:
                         status = "optimal"
                         dual_gap = pd_gap
@@ -676,7 +676,7 @@ def solve(problem: SdpProblem, witness=None) -> SdpSolution:
             # PSD vector normal to the affine set, whatever the objective,
             # and its least-squares multiplier is then a Farkas certificate.
             # Whatever point the step came from, the tests are on y alone.
-            y = gram_pinv @ (a_hat @ (u_prev - u))
+            y = gram_pinv @ (a_mat @ (u_prev - u))
             if witness is not None and not has_objective:
                 found = witness(as_given(y))
                 if found is not None:

@@ -13,9 +13,11 @@ Gram rows and columns that a zero coefficient forces to vanish, which is
 what makes sums of a few sparse squares solvable.
 
 The hierarchy lower bound at level k maximizes a subject to f - a lying in
-the level-k cone; the scalar a enters the constant-coefficient row as the
-difference of two 1x1 PSD blocks (a = a_plus - a_minus), keeping the solver's
-problem class pure PSD-block form.
+the level-k cone.  The constant row of the membership SDP of f fixes a, as
+a = f_0 - (sum_i sigma_i g_i)_0, so the bound SDP is that SDP with its
+constant row (row 0 in graded lex order) taken out as the objective:
+minimizing (sum_i sigma_i g_i)_0 subject to the other rows maximizes a, and
+the bound is f_0 minus the optimal value.  The free scalar needs no block.
 
 Failure at level k never disproves membership in the untruncated cone, so
 a not-found outcome is inconclusive, with one exception: a disproof, a point
@@ -165,10 +167,10 @@ def _compile(
     system: SemialgebraicSystem,
     level: int,
     blocks: list[_Block],
-    bound_scalar: bool,
 ) -> sdp.SdpProblem:
-    """Coefficient-matching constraints over the degree-<=level monomials,
-    written straight into the svec columns of the constraint matrix.
+    """The membership SDP of ``target``: coefficient-matching constraints
+    over the degree-<=level monomials in graded lex order (the constant
+    first), written straight into the svec columns of the constraint matrix.
 
     Gram entry (r, s) of a block meets row gamma through the one generator
     term alpha with z_r z_s x^alpha = x^gamma, so each matrix entry is one
@@ -176,7 +178,7 @@ def _compile(
     n = system.dimension
     index_monos = monomial_basis(n, level).monomials
     row_of = {alpha: i for i, alpha in enumerate(index_monos)}
-    block_sizes = tuple(len(b.basis) for b in blocks) + ((1, 1) if bound_scalar else ())
+    block_sizes = tuple(len(b.basis) for b in blocks)
     constraints = np.zeros((len(index_monos), sum(s * (s + 1) // 2 for s in block_sizes)))
     root2 = np.sqrt(2.0)
 
@@ -194,14 +196,7 @@ def _compile(
                 col += 1
 
     rhs = np.array([target.coefficient(alpha) for alpha in index_monos])
-    objective = None
-    if bound_scalar:
-        # a = a_plus - a_minus enters the constant row; maximize a
-        constraints[row_of[(0,) * n], col : col + 2] = (1.0, -1.0)
-        objective = np.zeros(constraints.shape[1])
-        objective[col : col + 2] = (-1.0, 1.0)
-
-    return sdp.SdpProblem(block_sizes, constraints, rhs, objective)
+    return sdp.SdpProblem(block_sizes, constraints, rhs)
 
 
 def _certificate_from_blocks(
@@ -278,7 +273,7 @@ def _membership_search(
             status="precondition",
         )
     blocks = _generator_blocks(system, level, problem.mode)
-    sdp_problem = _compile(target, system, level, blocks, bound_scalar=False)
+    sdp_problem = _compile(target, system, level, blocks)
     solution = sdp.solve(sdp_problem, _disproof_witness(target, system, level))
     if solution.ok:
         cert = _certificate_from_blocks(
@@ -441,15 +436,16 @@ def lasserre_bound(
             status="precondition",
         )
     blocks = _generator_blocks(system, level, QUADRATIC_MODULE)
-    sdp_problem = _compile(f, system, level, blocks, bound_scalar=True)
-    solution = sdp.solve(sdp_problem)
+    member = _compile(f, system, level, blocks)
+    # row 0, the constant, becomes the objective (sum_i sigma_i g_i)_0
+    solution = sdp.solve(sdp.SdpProblem(
+        member.block_sizes, member.constraints[1:], member.rhs[1:],
+        member.constraints[0],
+    ))
     if solution.ok:
-        nb = len(blocks)
-        bound = float(
-            solution.block_values[nb][0, 0] - solution.block_values[nb + 1][0, 0]
-        )
+        bound = f.coefficient((0,) * f.dimension) - solution.objective_value
         cert = _certificate_from_blocks(
-            QUADRATIC_MODULE, system, blocks, solution.block_values[:nb]
+            QUADRATIC_MODULE, system, blocks, solution.block_values
         )
         shifted = f - Polynomial.constant(f.dimension, bound)
         report = verify(cert, shifted, residual_tol)

@@ -279,23 +279,33 @@ def test_anderson_counters_on_feasibility_form(monkeypatch):
     assert diag["anderson_accepted"] + diag["anderson_rejected"] == sum(made[:-1])
 
 
+def _box_bound_sdp(objective, level):
+    """The hierarchy bound SDP of ``objective`` over the unit box in two
+    variables: the membership SDP with its constant row as the objective."""
+    from conftest import box_system
+    from poslab import QUADRATIC_MODULE, parse_polynomial
+    from poslab.sos import _compile, _generator_blocks
+
+    system = box_system(2)
+    blocks = _generator_blocks(system, level, QUADRATIC_MODULE)
+    member = _compile(parse_polynomial(objective, 2), system, level, blocks)
+    return SdpProblem(
+        member.block_sizes, member.constraints[1:], member.rhs[1:],
+        member.constraints[0],
+    )
+
+
 def test_breakdown_guard_never_acts_on_undone_points(monkeypatch):
     # The hierarchy SDP of a box case (n=2, level 4) with a long flat
     # residual.  Every other extrapolated point is moved 1e200 along -c, so
     # its fixed-point residual ||T(s) - s|| overflows to inf; the safeguard
     # undoes each of them.  Had the breakdown guard looked at one, the run
     # would raise SolverError; it must end optimal.
-    from conftest import box_system
-    from poslab import QUADRATIC_MODULE, parse_polynomial
     from poslab.sdp import OVER_RELAXATION, _Anderson, _layout
-    from poslab.sos import _compile, _generator_blocks
 
-    f = parse_polynomial(
-        "-0.249*x1^2 + 0.436*x1*x2 - 0.336*x2^2 - 1.741*x1 - 0.439*x2 - 1.985", 2
+    problem = _box_bound_sdp(
+        "-0.249*x1^2 + 0.436*x1*x2 - 0.336*x2^2 - 1.741*x1 - 0.439*x2 - 1.985", 4
     )
-    system = box_system(2)
-    blocks = _generator_blocks(system, 4, QUADRATIC_MODULE)
-    problem = _compile(f, system, 4, blocks, bound_scalar=True)
     a, b, c = problem.constraints, problem.rhs, problem.objective
     layout = _layout(problem.block_sizes)
     a_pinv = np.linalg.pinv(a)
@@ -331,9 +341,30 @@ def test_breakdown_guard_never_acts_on_undone_points(monkeypatch):
     assert sol.status == "optimal"
     assert sum(moved) > 0
     assert sol.anderson_rejected >= sum(moved) - 1  # the last may be unjudged
-    assert sol.iterations == 2325
-    assert sol.anderson_rejected == 248
-    assert sol.objective_value == pytest.approx(4.314, abs=1e-6)
+    assert sol.iterations == 1939
+    assert sol.anderson_rejected == 208
+    # (sum_i sigma_i g_i)_0 = f_0 - (-4.314), the minimum over the box
+    assert sol.objective_value == pytest.approx(-1.985 + 4.314, abs=1e-6)
+
+
+def test_solve_keeps_no_second_copy_of_the_constraints(monkeypatch):
+    # The row scaling lives in the pseudo-inverse, so one iteration
+    # allocates far less than A itself; a row-scaled copy of A would take
+    # the peak past A's size.
+    import tracemalloc
+
+    problem = _box_bound_sdp("x1*x2 + x1", 16)
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
+    solve(problem)  # the cached block layout is built outside the trace
+    tracemalloc.start()
+    try:
+        sol = solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations == 1
+    assert sol.facial_reduction_dim == 0
+    assert peak < 0.5 * problem.constraints.nbytes
 
 
 def _svec_blocks(sizes, vec):

@@ -75,11 +75,26 @@ def test_basis_capacity_cap():
 # compilation
 
 
+def _captured_sdp(monkeypatch, call):
+    """The SdpProblem that ``call()`` hands to ``sdp.solve``, solved as usual."""
+    seen = []
+    solve = sdp.solve
+
+    def recording(problem, *args):
+        seen.append(problem)
+        return solve(problem, *args)
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    result = call()
+    assert len(seen) == 1
+    return seen[0], result
+
+
 @pytest.mark.parametrize(
-    "mode, bound_scalar",
+    "mode, bound_form",
     [(QUADRATIC_MODULE, False), (QUADRATIC_MODULE, True), (PREORDERING, False)],
 )
-def test_compiled_rows_match_reconstructed_coefficients(mode, bound_scalar):
+def test_compiled_rows_match_reconstructed_coefficients(mode, bound_form, monkeypatch):
     # The constraint matrix is written in svec coordinates, the certificate
     # module expands Gram matrices in sparse arithmetic: both must agree on
     # the coefficients of sum_i sigma_i g_i for any point of the svec space.
@@ -92,12 +107,15 @@ def test_compiled_rows_match_reconstructed_coefficients(mode, bound_scalar):
     level = 6
     target = P("x1^3*x2 - 2*x2^2 + 0.5", 2)
     blocks = _generator_blocks(system, level, mode)
-    problem = _compile(target, system, level, blocks, bound_scalar)
+    problem = _compile(target, system, level, blocks)
     layout = _BlockLayout(problem.block_sizes)
     assert max(b.generator.degree for b in blocks) >= 2
     assert problem.constraints.shape == (28, layout.total)  # C(2 + 6, 2) rows
+    assert problem.block_sizes == tuple(len(b.basis) for b in blocks)
+    assert problem.objective is None
 
     rows = monomial_basis(2, level).monomials
+    assert rows[0] == (0, 0)  # the constant row comes first
     assert np.array_equal(problem.rhs, [target.coefficient(alpha) for alpha in rows])
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -113,16 +131,30 @@ def test_compiled_rows_match_reconstructed_coefficients(mode, bound_scalar):
         )
         poly = reconstruct(cert)
         expected = np.array([poly.coefficient(alpha) for alpha in rows])
-        if bound_scalar:
-            # the scalar a = a_plus - a_minus sits in the constant row
-            expected[0] += grams[-2][0, 0] - grams[-1][0, 0]
         assert np.max(np.abs(problem.constraints @ v - expected)) <= 1e-12
-    if bound_scalar:
-        c = np.zeros(layout.total)
-        c[-2:] = (-1.0, 1.0)  # maximize a = a_plus - a_minus
-        assert np.array_equal(problem.objective, c)
-    else:
-        assert problem.objective is None
+    if bound_form:
+        # the bound SDP is this SDP with the constant row split off as the
+        # objective (sum_i sigma_i g_i)_0; the free scalar has no block
+        bound_sdp, _ = _captured_sdp(
+            monkeypatch, lambda: lasserre_bound(target, system, level)
+        )
+        assert bound_sdp.block_sizes == problem.block_sizes
+        assert np.array_equal(bound_sdp.constraints, problem.constraints[1:])
+        assert np.array_equal(bound_sdp.rhs, problem.rhs[1:])
+        assert np.array_equal(bound_sdp.objective, problem.constraints[0])
+
+
+def test_bound_sdp_has_one_block_per_generator(monkeypatch):
+    f = P("x1^3 - x1")
+    system = interval_system()
+    bound_sdp, res = _captured_sdp(monkeypatch, lambda: lasserre_bound(f, system, 4))
+    assert res.status == "optimal"
+    # sigma_0 over (1, x1, x1^2), sigma_1 over (1, x1)
+    assert bound_sdp.block_sizes == (3, 2)
+    assert len(res.certificate.entries) == 2
+    # the objective value is (sum_i sigma_i g_i)_0, so a = f_0 minus it
+    assert res.lower_bound == f.coefficient((0,)) - res.solver["objective_value"]
+    assert res.lower_bound == pytest.approx(-2 / 3**1.5, abs=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +242,19 @@ def test_stengle_member_is_found_at_a_high_level():
     assert res.found
     assert res.status == "feasible"
     assert verify(res.certificate, target).passed
+
+
+@pytest.mark.parametrize("level, closed_form", [(6, -1 / 3), (8, -1 / 8)])
+def test_stengle_bound_sdp(level, closed_form):
+    # The hierarchy bound of 1 - x1^2 over (1 - x1^2)^3 >= 0, whose true
+    # minimum is 0: -1/3 at level 6 and -1/8 at level 8, the first two
+    # values of the conjectured -1/(j^2 - 1) with j = k/2 - 1.  Level 10 is
+    # left out: its solve still ends at the iteration cap.
+    system = SemialgebraicSystem(1, (P("1 - 3*x1^2 + 3*x1^4 - x1^6"),))
+    res = lasserre_bound(P("1 - x1^2"), system, level)
+    assert res.status == "optimal"
+    assert res.verification is not None and res.verification.passed
+    assert res.lower_bound == pytest.approx(closed_form, abs=1e-7)
 
 
 # Sums of two sparse squares in two variables (exponents (a, b) stand for
@@ -300,7 +345,7 @@ def test_farkas_certificate_checks_against_the_compiled_problem():
     system = box_system(2)
     assert grid_min(NEGATIVE_ON_BOX, system, GridSpec(41)).minimum_value < 0
     blocks = _generator_blocks(system, 4, QUADRATIC_MODULE)
-    problem = _compile(NEGATIVE_ON_BOX, system, 4, blocks, bound_scalar=False)
+    problem = _compile(NEGATIVE_ON_BOX, system, 4, blocks)
     sol = sdp.solve(problem)
     assert sol.status == "infeasible-detected"
     assert sol.facial_reduction_dim == 0
@@ -646,13 +691,13 @@ def test_lasserre_long_flat_residual_is_not_a_stall():
     assert res.lower_bound == pytest.approx(-4.314, abs=1e-6)
     # the solver's exact path: any change to the compiled arithmetic or to
     # the solver's summation order moves these
-    assert res.lower_bound == -4.3140000005085755
+    assert res.lower_bound == -4.314000000974289
     assert (
         res.solver["iterations"],
         res.solver["anderson_accepted"],
         res.solver["anderson_rejected"],
-    ) == (2342, 281, 228)
-    # the box generators and the bound scalar mix signs: nothing is reduced
+    ) == (1938, 210, 191)
+    # the box generators mix signs: nothing is reduced
     assert res.solver["facial_reduction_dim"] == 0
     assert res.solver["facial_reduction_rows"] == 0
 
