@@ -17,7 +17,9 @@ The lifting transform h = f - lam * sum_i (g_i - 1)^(2k) g_i dominates f
 nowhere above it on the feasible set (each subtracted term is nonnegative
 where 0 <= g_i <= 1) yet is uniformly positive on the whole box once k is
 large enough; this module computes the analytic parameters (L, lam, k) and
-probes the smallest working k on a grid.
+probes the smallest working k on a grid.  Both evaluate h pointwise: f and
+each g_i are evaluated once on the grid and h is formed from those values,
+never expanded; ``lifting_transform`` gives the expanded h for other uses.
 """
 
 from __future__ import annotations
@@ -201,24 +203,32 @@ def lifting_k_max(
     return k_max
 
 
-def lifting_transform(
+def _check_lift(
     f: Polynomial, system: SemialgebraicSystem, lam: float, k: int
-) -> Polynomial:
-    """h = f - lam * sum_i (g_i - 1)^(2k) g_i, expanded exactly."""
+) -> None:
+    """The argument checks and the degree cap of lifting h at (lam, k)."""
     if not 0 <= lam < math.inf:  # NaN fails it too
         raise InputError(f"lam must be finite and >= 0, got {lam}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if f.dimension != system.dimension:
         raise InputError("objective and system dimensions differ")
+    if lam != 0.0:
+        degree = _lifted_degree(f, system, k)
+        if degree > LIFT_DEGREE_CAP:
+            raise CapacityError(
+                f"lifted polynomial would have degree {degree} > cap {LIFT_DEGREE_CAP}"
+            )
+
+
+def lifting_transform(
+    f: Polynomial, system: SemialgebraicSystem, lam: float, k: int
+) -> Polynomial:
+    """h = f - lam * sum_i (g_i - 1)^(2k) g_i, expanded exactly."""
+    _check_lift(f, system, lam, k)
     h = f
     if lam == 0.0:
         return h  # nothing gets expanded
-    degree = _lifted_degree(f, system, k)
-    if degree > LIFT_DEGREE_CAP:
-        raise CapacityError(
-            f"lifted polynomial would have degree {degree} > cap {LIFT_DEGREE_CAP}"
-        )
     one = Polynomial.constant(f.dimension, 1.0)
     for g in system.constraints:
         term = (g - one).power(2 * k) * g
@@ -228,11 +238,34 @@ def lifting_transform(
     return h
 
 
+def _lifted_minimum(
+    f: Polynomial,
+    system: SemialgebraicSystem,
+    lam: float,
+    k: int,
+    f_vals: np.ndarray,
+    g_vals: list[np.ndarray],
+) -> float:
+    """min of h = f - lam * sum_i (g_i - 1)^(2k) g_i over the grid points at
+    which f and the g_i took the values ``f_vals`` and ``g_vals``.
+
+    h is evaluated pointwise, never expanded, after the checks of
+    ``lifting_transform`` (all but its term cap)."""
+    _check_lift(f, system, lam, k)
+    h = f_vals
+    if lam != 0.0:
+        for gv in g_vals:
+            h = h - lam * ((gv - 1.0) ** (2 * k) * gv)
+    return float(np.min(h))
+
+
 def _check_constraints_at_most_one(
-    system: SemialgebraicSystem, pts: np.ndarray, tol: float = 1e-12
+    system: SemialgebraicSystem,
+    pts: np.ndarray,
+    g_vals: list[np.ndarray],
+    tol: float = 1e-12,
 ) -> None:
-    for i, g in enumerate(system.constraints):
-        vals = g.evaluate_many(pts)
+    for i, (g, vals) in enumerate(zip(system.constraints, g_vals)):
         worst = int(np.argmax(vals))
         if vals[worst] > 1.0 + tol:
             point = tuple(float(v) for v in pts[worst])
@@ -260,7 +293,8 @@ def find_lifting_k(
     spec = grid or GridSpec.default_for(system.dimension)
     box = spec.resolved_box(system.dimension)
     pts = grid_points(box, spec.points_per_axis)
-    _check_constraints_at_most_one(system, pts)
+    g_vals = [g.evaluate_many(pts) for g in system.constraints]
+    _check_constraints_at_most_one(system, pts, g_vals)
     f_star = grid_min(f, system, spec, feasibility_tol).minimum_value
     if f_star <= 0:
         raise InputError(
@@ -268,10 +302,9 @@ def find_lifting_k(
             "needs f > 0 on the feasible set"
         )
     target = 0.5 * f_star * (1.0 - 1e-6)
+    f_vals = f.evaluate_many(pts)
     for k in range(1, lifting_k_max(f, system, lam, k_max) + 1):
-        h = lifting_transform(f, system, lam, k)
-        h_min = float(np.min(h.evaluate_many(pts)))
-        if h_min >= target:
+        if _lifted_minimum(f, system, lam, k, f_vals, g_vals) >= target:
             return k
     return None
 
@@ -325,8 +358,14 @@ def lifting_parameters(
     k = max(1, math.ceil(k_real))
     box = spec.resolved_box(system.dimension)
     pts = grid_points(box, spec.points_per_axis)
-    h = lifting_transform(f, system, lam, k)
-    empirical = float(np.min(h.evaluate_many(pts)))
+    empirical = _lifted_minimum(
+        f,
+        system,
+        lam,
+        k,
+        f.evaluate_many(pts),
+        [g.evaluate_many(pts) for g in system.constraints],
+    )
     if not math.isfinite(empirical):
         raise InputError(
             f"the lifted polynomial overflows on the grid (min h = {empirical}) "

@@ -23,7 +23,12 @@ from poslab import (
     round_hypercube_degree,
     schmuedgen_degree_bound,
 )
-from poslab.bounds import LIFT_DEGREE_CAP, _feasible_distances, lifting_k_max
+from poslab.bounds import (
+    LIFT_DEGREE_CAP,
+    _feasible_distances,
+    _lifted_minimum,
+    lifting_k_max,
+)
 from poslab.semialg import MAX_SAMPLES, feasible_mask, grid_points
 
 P = parse_polynomial
@@ -193,13 +198,13 @@ def test_find_lifting_k_stops_at_the_degree_cap(monkeypatch):
     # k = 15 would lift the quadratic constraint to degree 62 > 60, so the
     # default k_max = 20 search ends at k = 14, not found, without raising
     tried = []
-    transform = lifting_transform
+    lifted_minimum = _lifted_minimum
 
-    def recording(f, system, lam, k):
+    def recording(f, system, lam, k, f_vals, g_vals):
         tried.append(k)
-        return transform(f, system, lam, k)
+        return lifted_minimum(f, system, lam, k, f_vals, g_vals)
 
-    monkeypatch.setattr("poslab.bounds.lifting_transform", recording)
+    monkeypatch.setattr("poslab.bounds._lifted_minimum", recording)
     spec = GridSpec(10_001, refinement_rounds=0)
     f = P("x1 + 2")
     assert lifting_k_max(f, interval_system(), 1e6, 20) == 14
@@ -227,6 +232,47 @@ def test_lifting_k_max_matches_the_transform_cap():
     assert lifting_k_max(f, interval_system(), 0.0, 100) == 100
     assert lifting_k_max(f, interval_system(), 1.0, 3) == 3
     assert lifting_k_max(P("x1^61"), interval_system(), 1.0, 20) == 1
+
+
+def test_lifted_minimum_matches_the_expanded_transform():
+    ball = SemialgebraicSystem(2, (P("1 - x1^2 - x2^2"),))
+    cases = (
+        (P("x1 + 2"), interval_system(), ((-1.0, 1.0),), 201),
+        (P("x1^2 + x1*x2 - x2 + 1", 2), ball, ((-1.0, 1.0),) * 2, 31),
+    )
+    for f, system, box, per_axis in cases:
+        pts = grid_points(box, per_axis)
+        f_vals = f.evaluate_many(pts)
+        g_vals = [g.evaluate_many(pts) for g in system.constraints]
+        for k in range(1, 6):
+            expanded = lifting_transform(f, system, 3.0, k).evaluate_many(pts).min()
+            pointwise = _lifted_minimum(f, system, 3.0, k, f_vals, g_vals)
+            assert pointwise == pytest.approx(expanded, rel=1e-12)
+
+
+def test_lift_search_and_parameters_never_expand_h(monkeypatch):
+    def expanding(*args):
+        raise AssertionError("lifting_transform called")
+
+    monkeypatch.setattr("poslab.bounds.lifting_transform", expanding)
+    spec = GridSpec(1001, refinement_rounds=0)
+    f = P("x1 + 2")
+    assert find_lifting_k(f, interval_system(), 5.0, spec, k_max=14) is not None
+    params = lifting_parameters(f, interval_system(), 1.0, 1.0, 1.0, spec)
+    assert math.isfinite(params.empirical_min_h)
+
+
+def test_pointwise_lift_keeps_the_checks():
+    spec = GridSpec(101, refinement_rounds=0)
+    f = P("x1 + 2")
+    # L = 2 and c0 = 4: 2k+1 >= 4 (1 + 16) gives k = 34, degree 69 * 2 = 138
+    with pytest.raises(CapacityError) as err:
+        lifting_parameters(f, interval_system(), 4.0, 1.0, 1.0, spec)
+    assert str(err.value) == "lifted polynomial would have degree 138 > cap 60"
+    for lam, text in ((math.nan, "nan"), (-1.0, "-1.0")):
+        with pytest.raises(InputError) as err:
+            find_lifting_k(f, interval_system(), lam, spec)
+        assert str(err.value) == f"lam must be finite and >= 0, got {text}"
 
 
 def test_find_lifting_k_monotone_in_lambda():

@@ -2,10 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from poslab.cli import main
+from poslab.semialg import grid_points
 
 
 def write_problem(path, n, objective, constraints, **extra):
@@ -490,7 +492,18 @@ def test_estimate_and_lift_outputs_pinned(tmp_path):
     assert main(["lift", "--input", square, "--grid", "21", "--lambda", "20",
                  "--k-max", "12", "--output", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["parameters"]["empirical_min_h"] == -0.8665598608393879
+    # h is evaluated pointwise from the grid values of f and g_i; the float
+    # is also checked against the exact minimum over the 21 x 21 grid
+    min_h = data["parameters"]["empirical_min_h"]
+    assert min_h == -0.8665598608393894
+    lam, k = Fraction(data["parameters"]["lambda"]), data["parameters"]["k"]
+    values = []
+    for point in grid_points(((-1.0, 1.0),) * 2, 21):
+        x1, x2 = (Fraction(float(x)) for x in point)
+        lift = sum((g - 1) ** (2 * k) * g for g in (1 - x1**2, 1 - x2**2))
+        values.append(x1**2 + x2**2 + x1 + 1 - lam * lift)
+    exact = min(values)
+    assert abs(Fraction(min_h) - exact) <= 1e-15
     assert data["parameters"]["k"] == 6
     assert data["search"]["empirical_k"] == 5
 
