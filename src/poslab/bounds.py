@@ -52,6 +52,7 @@ LIFT_TERM_CAP = 200_000
 ENVELOPE_BINS = 12  # log-distance bins of the Lojasiewicz lower envelope
 CONTAINMENT_MARGIN = 1e-9  # how far inside the unit box a rounded cube needs S
 DISTANCE_CHUNK_ENTRIES = 1 << 18  # entries of one chunk's sample-by-point matrices
+CONSTRAINT_ONE_SLACK = 1e-12  # how far above 1 find_lifting_k lets a g_i reach
 
 
 @dataclass(frozen=True)
@@ -191,9 +192,9 @@ def lifting_k_max(
 ) -> int:
     """The largest k <= k_max whose lifted degree fits ``LIFT_DEGREE_CAP``.
 
-    k_max itself when lam == 0 (nothing is expanded) or every k fits; never
-    below 1, so a problem that does not fit even at k = 1 still reaches
-    lifting_transform's CapacityError."""
+    k_max itself when lam == 0 (nothing is expanded), every k fits or k_max
+    <= 1; a cut never goes below 1, so a problem that does not fit even at
+    k = 1 still reaches lifting_transform's CapacityError."""
     while (
         lam != 0.0
         and k_max > 1
@@ -260,14 +261,11 @@ def _lifted_minimum(
 
 
 def _check_constraints_at_most_one(
-    system: SemialgebraicSystem,
-    pts: np.ndarray,
-    g_vals: list[np.ndarray],
-    tol: float = 1e-12,
+    system: SemialgebraicSystem, pts: np.ndarray, g_vals: list[np.ndarray]
 ) -> None:
     for i, (g, vals) in enumerate(zip(system.constraints, g_vals)):
         worst = int(np.argmax(vals))
-        if vals[worst] > 1.0 + tol:
+        if vals[worst] > 1.0 + CONSTRAINT_ONE_SLACK:
             point = tuple(float(v) for v in pts[worst])
             raise InputError(
                 f"constraint g{i + 1} = {g} exceeds 1 on the box: "
@@ -288,8 +286,11 @@ def find_lifting_k(
     f* comes from the grid oracle and must be positive; each g_i must stay
     <= 1 on the box (checked on the grid).  The search stops early at
     ``lifting_k_max``, the largest k whose lifted degree fits
-    ``LIFT_DEGREE_CAP``.  None when no k tried works.
+    ``LIFT_DEGREE_CAP``.  None when no k tried works; InputError when
+    k_max < 1, as no k would be tried.
     """
+    if k_max < 1:
+        raise InputError(f"k_max must be >= 1, got {k_max}")
     spec = grid or GridSpec.default_for(system.dimension)
     box = spec.resolved_box(system.dimension)
     pts = grid_points(box, spec.points_per_axis)

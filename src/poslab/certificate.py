@@ -8,7 +8,9 @@ products g^delta indexed by delta in {0,1}^m.
 
 Verification is independent of how a certificate was found: reconstruct the
 right-hand side exactly in sparse arithmetic, measure the residual against f
-in the weighted coefficient norm, and check the Gram spectra.
+in the weighted coefficient norm, and check the Gram spectra.  A certificate
+passes at residual <= ``DEFAULT_RESIDUAL_TOL`` and Gram eigenvalues >=
+-``DEFAULT_PSD_TOL``; both are module constants that no caller can loosen.
 """
 
 from __future__ import annotations
@@ -155,15 +157,11 @@ def reconstruct(cert: Certificate) -> Polynomial:
     return total
 
 
-def verify(
-    cert: Certificate,
-    f: Polynomial,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> VerificationReport:
+def verify(cert: Certificate, f: Polynomial) -> VerificationReport:
     """Residual in the weighted norm plus the worst Gram eigenvalue.
 
-    Always returns a report; ``passed`` is residual <= residual_tol and
-    min eigenvalue >= -DEFAULT_PSD_TOL.
+    Always returns a report; ``passed`` is residual <= DEFAULT_RESIDUAL_TOL
+    and min eigenvalue >= -DEFAULT_PSD_TOL.
     """
     if f.dimension != cert.system.dimension:
         raise InputError(
@@ -178,7 +176,7 @@ def verify(
         residual_norm=residual,
         min_gram_eigenvalue=min_eig,
         level=cert.level,
-        passed=(residual <= residual_tol and min_eig >= -DEFAULT_PSD_TOL),
+        passed=(residual <= DEFAULT_RESIDUAL_TOL and min_eig >= -DEFAULT_PSD_TOL),
     )
 
 
@@ -241,21 +239,20 @@ def verify_disproof(
     return report(True, "")
 
 
-def round_psd(gram: np.ndarray, clip: float) -> np.ndarray:
-    """Clip eigenvalues in [-clip, 0) to zero; error below -clip.
+def round_psd(gram: np.ndarray) -> np.ndarray:
+    """Clip eigenvalues in [-DEFAULT_PSD_TOL, 0) to zero; error below it.
 
     The repaired matrix is exactly PSD up to eigendecomposition rounding.
     """
-    if clip < 0:
-        raise InputError("clip must be nonnegative")
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InputError(f"expected a square matrix, got shape {g.shape}")
     g = 0.5 * (g + g.T)
     w, v = np.linalg.eigh(g)
-    if w[0] < -clip:
+    if w[0] < -DEFAULT_PSD_TOL:
         raise RoundingError(
-            f"eigenvalue {w[0]:.3e} below -{clip:.1e}: too indefinite to repair"
+            f"eigenvalue {w[0]:.3e} below -{DEFAULT_PSD_TOL:.1e}: too indefinite "
+            "to repair"
         )
     w = np.clip(w, 0.0, None)
     out = (v * w) @ v.T
@@ -271,7 +268,7 @@ def extract_squares(cert: Certificate) -> list[tuple[Polynomial, list[Polynomial
     """
     out: list[tuple[Polynomial, list[Polynomial]]] = []
     for entry in cert.entries:
-        gram = round_psd(entry.gram, DEFAULT_PSD_TOL)
+        gram = round_psd(entry.gram)
         w, v = np.linalg.eigh(gram)
         squares: list[Polynomial] = []
         n = entry.basis.dimension

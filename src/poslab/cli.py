@@ -29,7 +29,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import sos
 from .certificate import (
-    DEFAULT_RESIDUAL_TOL,
     certificate_from_dict,
     certificate_to_dict,
     verify,
@@ -124,12 +123,7 @@ def _result_fields(result: sos.LasserreResult | sos.MembershipResult) -> dict:
 
 def cmd_solve(args) -> int:
     problem = _load(args)
-    result = sos.lasserre_bound(
-        problem.objective,
-        problem.system,
-        args.level,
-        residual_tol=args.tol,
-    )
+    result = sos.lasserre_bound(problem.objective, problem.system, args.level)
     payload = {
         "command": "solve",
         "lower_bound": _json_float(result.lower_bound),
@@ -149,9 +143,9 @@ def cmd_certify(args) -> int:
         mode=args.mode,
     )
     if args.mode == sos.QUADRATIC_MODULE:
-        result = sos.module_membership(mp, residual_tol=args.tol)
+        result = sos.module_membership(mp)
     else:
-        result = sos.preordering_membership(mp, residual_tol=args.tol)
+        result = sos.preordering_membership(mp)
     disproof = result.disproof
     payload = {
         "command": "certify",
@@ -199,7 +193,7 @@ def cmd_verify(args) -> int:
         raise InputError(
             "certificate generators do not match the problem constraints"
         )
-    report = verify(cert, problem.objective, residual_tol=args.tol)
+    report = verify(cert, problem.objective)
     payload = {"command": "verify", "report": report.to_dict()}
     _emit_json(payload, args.output)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
@@ -221,9 +215,7 @@ def cmd_converge(args) -> int:
     failures = 0
     for level in levels:
         try:
-            result = sos.lasserre_bound(
-                problem.objective, problem.system, level, residual_tol=args.tol
-            )
+            result = sos.lasserre_bound(problem.objective, problem.system, level)
             bound = result.lower_bound
         except SolverError:
             rows.append((level, "ERROR", repr(f_star), "ERROR", "NA"))
@@ -414,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="hierarchy lower bound f_k* at one level")
     common(p, grid=False)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="membership certificate search at one level")
@@ -425,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[sos.QUADRATIC_MODULE, sos.PREORDERING],
         default=sos.QUADRATIC_MODULE,
     )
-    p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser(
@@ -437,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     evidence.add_argument(
         "--disproof", help="disproof JSON file (the disproof of a certify output)"
     )
-    p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("converge", help="f_k* sweep over a level range (CSV)")
@@ -447,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list '2,4,6' or range 'start:stop[:step]'",
     )
     p.add_argument("--c", type=float, default=1.0, help="gap bound constant")
-    p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_converge)
 

@@ -273,10 +273,8 @@ def evaluate_exact(f: Polynomial, point: Iterable[float]) -> tuple[int, int]:
     return total, coef_den * den_powers[degree]
 
 
-def _pruned(
-    terms: dict[Monomial, float], tol: float = DEFAULT_PRUNE_TOL
-) -> dict[Monomial, float]:
-    return {a: c for a, c in terms.items() if abs(c) > tol}
+def _pruned(terms: dict[Monomial, float]) -> dict[Monomial, float]:
+    return {a: c for a, c in terms.items() if abs(c) > DEFAULT_PRUNE_TOL}
 
 
 # ----------------------------------------------------------------------

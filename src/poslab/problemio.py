@@ -39,9 +39,9 @@ class ProblemDocument:
         return self.options.get("feasibility_tol", DEFAULT_FEASIBILITY_TOL)
 
     def grid_spec(self, points_per_axis: int | None = None) -> GridSpec:
-        ppa = points_per_axis or self.options.get(
-            "points_per_axis", default_points_per_axis(self.dimension)
-        )
+        ppa = points_per_axis
+        if ppa is None:
+            ppa = self.options.get("points_per_axis", default_points_per_axis(self.dimension))
         rounds = self.options.get("refinement_rounds", 3)
         return GridSpec(points_per_axis=ppa, box=self.box, refinement_rounds=rounds)
 

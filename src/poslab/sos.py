@@ -19,6 +19,10 @@ constant row (row 0 in graded lex order) taken out as the objective:
 minimizing (sum_i sigma_i g_i)_0 subject to the other rows maximizes a, and
 the bound is f_0 minus the optimal value.  The free scalar needs no block.
 
+Either way the solver's answer counts only when ``certificate.verify``
+passes its Gram certificate, at that module's fixed thresholds (residual
+<= ``DEFAULT_RESIDUAL_TOL``); no parameter here changes them.
+
 Failure at level k never disproves membership in the untruncated cone, so
 a not-found outcome is inconclusive, with one exception: a disproof, a point
 x0 of the feasible set with f(x0) < 0.  Every member of every level is
@@ -48,8 +52,6 @@ import numpy as np
 
 from . import sdp
 from .certificate import (
-    DEFAULT_PSD_TOL,
-    DEFAULT_RESIDUAL_TOL,
     PREORDERING,
     QUADRATIC_MODULE,
     Certificate,
@@ -209,7 +211,7 @@ def _certificate_from_blocks(
         CertificateEntry(
             index=block.label,
             basis=block.basis,
-            gram=round_psd(grams[j], DEFAULT_PSD_TOL),
+            gram=round_psd(grams[j]),
         )
         for j, block in enumerate(blocks)
     )
@@ -257,9 +259,7 @@ def _infeasibility_evidence(solution: sdp.SdpSolution, level: int) -> str:
     return f"Farkas certificate for level {level}: {shows}"
 
 
-def _membership_search(
-    problem: MembershipProblem, residual_tol: float
-) -> MembershipResult:
+def _membership_search(problem: MembershipProblem) -> MembershipResult:
     target, system, level = problem.target, problem.system, problem.level
     if target.degree > level:
         return MembershipResult(
@@ -279,7 +279,7 @@ def _membership_search(
         cert = _certificate_from_blocks(
             problem.mode, system, blocks, solution.block_values
         )
-        report = verify(cert, target, residual_tol)
+        report = verify(cert, target)
         if report.passed:
             return MembershipResult(
                 found=True,
@@ -330,27 +330,21 @@ def _membership_search(
     )
 
 
-def module_membership(
-    problem: MembershipProblem, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> MembershipResult:
+def module_membership(problem: MembershipProblem) -> MembershipResult:
     """Search the level-k quadratic module for the target polynomial."""
     if problem.mode != QUADRATIC_MODULE:
         raise InputError("module_membership requires quadratic_module mode")
-    return _membership_search(problem, residual_tol)
+    return _membership_search(problem)
 
 
-def preordering_membership(
-    problem: MembershipProblem, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> MembershipResult:
+def preordering_membership(problem: MembershipProblem) -> MembershipResult:
     """Search the level-k preordering (2^m product generators)."""
     if problem.mode != PREORDERING:
         raise InputError("preordering_membership requires preordering mode")
-    return _membership_search(problem, residual_tol)
+    return _membership_search(problem)
 
 
-def sos_decompose(
-    f: Polynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> MembershipResult:
+def sos_decompose(f: Polynomial) -> MembershipResult:
     """Plain sum-of-squares decomposition (no constraints).
 
     Odd degree is an immediate not-found; otherwise this is membership in
@@ -370,7 +364,7 @@ def sos_decompose(
         level=f.degree,
         mode=QUADRATIC_MODULE,
     )
-    return module_membership(problem, residual_tol)
+    return module_membership(problem)
 
 
 def archimedean_witness(
@@ -402,10 +396,7 @@ def archimedean_witness(
 
 
 def lasserre_bound(
-    f: Polynomial,
-    system: SemialgebraicSystem,
-    level: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    f: Polynomial, system: SemialgebraicSystem, level: int
 ) -> LasserreResult:
     """Largest a with f - a in the level-`level` quadratic module.
 
@@ -448,7 +439,7 @@ def lasserre_bound(
             QUADRATIC_MODULE, system, blocks, solution.block_values
         )
         shifted = f - Polynomial.constant(f.dimension, bound)
-        report = verify(cert, shifted, residual_tol)
+        report = verify(cert, shifted)
         if not report.passed:
             return LasserreResult(
                 level=level,

@@ -194,6 +194,14 @@ def test_find_lifting_k_huge_lambda_not_found():
     assert find_lifting_k(P("x1 + 2"), interval_system(), 1e6, spec, k_max=3) is None
 
 
+@pytest.mark.parametrize("k_max", [0, -4])
+def test_find_lifting_k_rejects_k_max_below_one(k_max):
+    # no k would be tried: that is an input error, not a search that failed
+    spec = GridSpec(101, refinement_rounds=0)
+    with pytest.raises(InputError, match="k_max"):
+        find_lifting_k(P("x1 + 2"), interval_system(), 1.0, spec, k_max=k_max)
+
+
 def test_find_lifting_k_stops_at_the_degree_cap(monkeypatch):
     # k = 15 would lift the quadratic constraint to degree 62 > 60, so the
     # default k_max = 20 search ends at k = 14, not found, without raising

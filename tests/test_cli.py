@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from poslab import certificate
 from poslab.cli import main
 from poslab.semialg import grid_points
 
@@ -42,11 +43,12 @@ def test_solve_writes_bound(tmp_path, interval_problem):
     assert data["verification"]["pass"] is True
 
 
-def test_solve_failed_verification_exits_2(tmp_path, interval_problem):
+def test_solve_failed_verification_exits_2(tmp_path, interval_problem, monkeypatch):
     # a negative tolerance fails every certificate: no bound may be reported
+    monkeypatch.setattr(certificate, "DEFAULT_RESIDUAL_TOL", -1.0)
     out = tmp_path / "sol.json"
     code = main(["solve", "--input", interval_problem, "--level", "2",
-                 "--tol=-1", "--output", str(out)])
+                 "--output", str(out)])
     assert code == 2
     data = json.loads(out.read_text())
     assert data["lower_bound"] is None
@@ -178,6 +180,47 @@ def test_verify_perturbed_exits_3(tmp_path, shifted_problem):
     bad.write_text(json.dumps(cert))
     assert main(["verify", "--input", shifted_problem,
                  "--certificate", str(bad)]) == 3
+
+
+def test_verify_scaled_certificate_exits_3(tmp_path, shifted_problem):
+    # ten times a certificate of f certifies 10 f: residual 9 ||f|| = 18
+    out = tmp_path / "res.json"
+    main(["certify", "--input", shifted_problem, "--level", "2",
+          "--output", str(out)])
+    cert = json.loads(out.read_text())["certificate"]
+    for entry in cert["entries"]:
+        entry["gram"] = [[10 * q for q in row] for row in entry["gram"]]
+    scaled = tmp_path / "scaled_cert.json"
+    scaled.write_text(json.dumps(cert))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--input", shifted_problem, "--certificate", str(scaled),
+                 "--output", str(report)]) == 3
+    data = json.loads(report.read_text())["report"]
+    assert data["pass"] is False
+    assert data["residual_norm"] == pytest.approx(18.0, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--level", "2"],
+        ["certify", "--level", "2"],
+        ["verify", "--certificate", "CERT"],
+        ["converge", "--levels", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_flag_sets_the_verification_threshold(tmp_path, shifted_problem, argv):
+    res = tmp_path / "res.json"
+    main(["certify", "--input", shifted_problem, "--level", "2", "--output", str(res)])
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(json.loads(res.read_text())["certificate"]))
+    argv = [str(cert) if a == "CERT" else a for a in argv] + ["--input", shifted_problem]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out)]) == 0  # succeeds without the flag
+    out.unlink()
+    assert main(argv + ["--tol", "1e-6", "--output", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_verify_missing_certificate_exits_1(tmp_path, shifted_problem):
@@ -366,13 +409,21 @@ def test_bounds_rejects_nan_input(tmp_path, capsys):
         (["estimate", "--seed", "-1"], "seed"),
         (["estimate", "--samples", "0"], "samples"),
         (["estimate", "--samples", "1000001"], "samples"),
+        (["lift", "--lambda", "1", "--k-max", "0"], "k_max"),
+        (["lift", "--lambda", "1", "--k-max", "-4"], "k_max"),
+        (["lift", "--grid", "0"], "points_per_axis"),
+        (["estimate", "--grid", "0"], "points_per_axis"),
+        (["bounds", "--grid", "0"], "points_per_axis"),
+        (["converge", "--levels", "2", "--grid", "0"], "points_per_axis"),
     ],
 )
 def test_lift_and_estimate_reject_bad_numbers(tmp_path, capsys, argv, named):
-    # a problem on which both commands succeed with their defaults
+    # a problem on which every command here succeeds with its defaults; the
+    # case's own flags come last, so its --grid wins over the default 101
     path = write_problem(tmp_path / "p.json", 1, "x1 + 2", ["0.25 - x1^2"])
     out = tmp_path / "out.json"
-    assert main(argv + ["--input", path, "--grid", "101", "--output", str(out)]) == 1
+    assert main(argv[:1] + ["--input", path, "--grid", "101", "--output", str(out)]
+                + argv[1:]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert named in captured.err

@@ -188,7 +188,7 @@ def test_archimedean_interval_witness():
     res = archimedean_witness(interval_system(), 1.0, 2)
     assert res.found
     # the returned certificate really reconstructs 1 - x1^2
-    report = verify(res.certificate, P("1 - x1^2"), 1e-6)
+    report = verify(res.certificate, P("1 - x1^2"))
     assert report.passed
 
 

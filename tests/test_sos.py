@@ -27,6 +27,7 @@ from poslab import (
     sos_decompose,
     verify,
 )
+from poslab import certificate
 from poslab.certificate import verify_disproof
 from poslab.poly import evaluate_exact
 
@@ -195,7 +196,7 @@ def test_sos_odd_degree_immediate():
 def test_module_membership_affine_over_interval():
     res = module_membership(MembershipProblem(P("2 + x1"), interval_system(), 2))
     assert res.found
-    report = verify(res.certificate, P("2 + x1"), 1e-6)
+    report = verify(res.certificate, P("2 + x1"))
     assert report.passed
 
 
@@ -590,7 +591,7 @@ def test_preordering_product_generator():
         MembershipProblem(P("x1*x2"), quadrant, 2, mode=PREORDERING)
     )
     assert res.found
-    report = verify(res.certificate, P("x1*x2"), 1e-6)
+    report = verify(res.certificate, P("x1*x2"))
     assert report.passed
     # the quadratic module alone cannot reach x1*x2 at level 2
     mod = module_membership(MembershipProblem(P("x1*x2"), quadrant, 2))
@@ -708,9 +709,10 @@ def test_lasserre_iteration_cap_raises_solver_error(monkeypatch):
         lasserre_bound(P("x1"), interval_system(), 2)
 
 
-def test_lasserre_failed_verification_gives_no_bound():
+def test_lasserre_failed_verification_gives_no_bound(monkeypatch):
     # a weighted-norm residual is never negative, so no certificate passes
-    res = lasserre_bound(P("x1"), interval_system(), 2, residual_tol=-1.0)
+    monkeypatch.setattr(certificate, "DEFAULT_RESIDUAL_TOL", -1.0)
+    res = lasserre_bound(P("x1"), interval_system(), 2)
     assert res.lower_bound == float("-inf")
     assert not res.is_finite
     assert "residual" in res.reason
