@@ -273,13 +273,39 @@ def _check_constraints_at_most_one(
             )
 
 
+def _lift_grid(
+    f: Polynomial,
+    system: SemialgebraicSystem,
+    grid: GridSpec | None,
+    at_most_one: bool,
+) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """The grid-oracle minimum f* and the values of f and of each g_i on the
+    grid points, for the lifting functions.
+
+    InputError when f* is not positive.  With ``at_most_one``, each g_i is
+    first checked to stay <= 1 on the grid, before the oracle runs.
+    """
+    spec = grid or GridSpec.default_for(system.dimension)
+    box = spec.resolved_box(system.dimension)
+    pts = grid_points(box, spec.points_per_axis)
+    g_vals = [g.evaluate_many(pts) for g in system.constraints]
+    if at_most_one:
+        _check_constraints_at_most_one(system, pts, g_vals)
+    f_star = grid_min(f, system, spec).minimum_value
+    if f_star <= 0:
+        raise InputError(
+            f"grid minimum {f_star} is not positive; the lifting lemma "
+            "needs f > 0 on the feasible set"
+        )
+    return f_star, f.evaluate_many(pts), g_vals
+
+
 def find_lifting_k(
     f: Polynomial,
     system: SemialgebraicSystem,
     lam: float,
     grid: GridSpec | None = None,
     k_max: int = 20,
-    feasibility_tol: float = DEFAULT_FEASIBILITY_TOL,
 ) -> int | None:
     """Smallest k <= k_max with min h >= f*/2 (1 - 1e-6) over the grid box.
 
@@ -291,19 +317,8 @@ def find_lifting_k(
     """
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
-    spec = grid or GridSpec.default_for(system.dimension)
-    box = spec.resolved_box(system.dimension)
-    pts = grid_points(box, spec.points_per_axis)
-    g_vals = [g.evaluate_many(pts) for g in system.constraints]
-    _check_constraints_at_most_one(system, pts, g_vals)
-    f_star = grid_min(f, system, spec, feasibility_tol).minimum_value
-    if f_star <= 0:
-        raise InputError(
-            f"grid minimum {f_star} is not positive; the lifting lemma "
-            "needs f > 0 on the feasible set"
-        )
+    f_star, f_vals, g_vals = _lift_grid(f, system, grid, at_most_one=True)
     target = 0.5 * f_star * (1.0 - 1e-6)
-    f_vals = f.evaluate_many(pts)
     for k in range(1, lifting_k_max(f, system, lam, k_max) + 1):
         if _lifted_minimum(f, system, lam, k, f_vals, g_vals) >= target:
             return k
@@ -317,7 +332,6 @@ def lifting_parameters(
     c1: float = 1.0,
     c2: float = 1.0,
     grid: GridSpec | None = None,
-    feasibility_tol: float = DEFAULT_FEASIBILITY_TOL,
 ) -> LiftingParameters:
     """L = d^2 n^(d-1) ||f||/f*, lam = c1 d^2 n^(d-1) ||f|| L^c2, and the
     smallest k with 2k+1 >= c0 (1 + L^c0), plus the observed min of h."""
@@ -329,13 +343,7 @@ def lifting_parameters(
     d = f.degree
     if d < 1:
         raise InputError("lifting parameters need a nonconstant objective")
-    spec = grid or GridSpec.default_for(system.dimension)
-    f_star = grid_min(f, system, spec, feasibility_tol).minimum_value
-    if f_star <= 0:
-        raise InputError(
-            f"grid minimum {f_star} is not positive; the lifting lemma "
-            "needs f > 0 on the feasible set"
-        )
+    f_star, f_vals, g_vals = _lift_grid(f, system, grid, at_most_one=False)
     n = float(f.dimension)
     norm_f = weighted_norm(f)
     big_l = d**2 * n ** (d - 1) * norm_f / f_star
@@ -357,16 +365,7 @@ def lifting_parameters(
             f"the lifting level k from c0 (1 + L^c0) overflows at c0 = {c0}"
         )
     k = max(1, math.ceil(k_real))
-    box = spec.resolved_box(system.dimension)
-    pts = grid_points(box, spec.points_per_axis)
-    empirical = _lifted_minimum(
-        f,
-        system,
-        lam,
-        k,
-        f.evaluate_many(pts),
-        [g.evaluate_many(pts) for g in system.constraints],
-    )
+    empirical = _lifted_minimum(f, system, lam, k, f_vals, g_vals)
     if not math.isfinite(empirical):
         raise InputError(
             f"the lifted polynomial overflows on the grid (min h = {empirical}) "
@@ -513,7 +512,6 @@ def lojasiewicz_estimate(
     grid: GridSpec | None = None,
     samples: int = 2000,
     seed: int = 42,
-    feasibility_tol: float = DEFAULT_FEASIBILITY_TOL,
 ) -> LojasiewiczFit:
     """Estimate the exponent relating constraint violation to distance.
 
@@ -546,7 +544,7 @@ def lojasiewicz_estimate(
     spec = grid or GridSpec.default_for(system.dimension)
     box = spec.resolved_box(system.dimension)
     pts = grid_points(box, spec.points_per_axis)
-    mask = feasible_mask(system, pts, feasibility_tol)
+    mask = feasible_mask(system, pts, DEFAULT_FEASIBILITY_TOL)
     if not mask.any():
         raise InfeasibleAtResolutionError(
             "no feasible grid point; cannot anchor distances"
@@ -652,7 +650,6 @@ def round_hypercube_degree(
     system: SemialgebraicSystem,
     grid: GridSpec | None = None,
     d_max: int = 30,
-    feasibility_tol: float = DEFAULT_FEASIBILITY_TOL,
 ) -> RoundedCube | None:
     """Smallest d <= d_max with 1 - 1/d - sum x_i^(2d) > 0 at every feasible
     grid point; None when none works.
@@ -663,7 +660,7 @@ def round_hypercube_degree(
     spec = grid or GridSpec.default_for(system.dimension)
     box = spec.resolved_box(system.dimension)
     pts = grid_points(box, spec.points_per_axis)
-    mask = feasible_mask(system, pts, feasibility_tol)
+    mask = feasible_mask(system, pts, DEFAULT_FEASIBILITY_TOL)
     if not mask.any():
         raise InfeasibleAtResolutionError(
             "no feasible grid point at this resolution"

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .poly import weighted_norm
 from .problemio import ProblemDocument, load_json, load_problem
-from .semialg import feasible_mask, grid_min, grid_points
+from .semialg import DEFAULT_FEASIBILITY_TOL, feasible_mask, grid_min, grid_points
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -205,9 +205,7 @@ def cmd_converge(args) -> int:
     if not levels:
         raise InputError("empty level range")
     grid = problem.grid_spec(args.grid)
-    reference = grid_min(
-        problem.objective, problem.system, grid, problem.feasibility_tol
-    )
+    reference = grid_min(problem.objective, problem.system, grid)
     f_star = reference.minimum_value
     d = max(problem.objective.degree, 1)
     norm_f = weighted_norm(problem.objective)
@@ -261,9 +259,7 @@ def cmd_bounds(args) -> int:
     if args.input is not None:
         problem = load_problem(args.input)
         grid = problem.grid_spec(args.grid)
-        reference = grid_min(
-            problem.objective, problem.system, grid, problem.feasibility_tol
-        )
+        reference = grid_min(problem.objective, problem.system, grid)
         d = args.d if args.d is not None else max(problem.objective.degree, 1)
         n = args.n if args.n is not None else problem.dimension
         norm_f = (
@@ -273,7 +269,7 @@ def cmd_bounds(args) -> int:
         )
         f_star = args.f_star if args.f_star is not None else reference.minimum_value
         pts = grid_points(grid.resolved_box(problem.dimension), grid.points_per_axis)
-        mask = feasible_mask(problem.system, pts, problem.feasibility_tol)
+        mask = feasible_mask(problem.system, pts, DEFAULT_FEASIBILITY_TOL)
         inside = bool(mask.any() and float(np.max(np.abs(pts[mask]))) < 1.0)
         assumptions = {"feasible_grid_inside_unit_box": inside}
     else:
@@ -332,7 +328,6 @@ def cmd_lift(args) -> int:
         c1=args.c1,
         c2=args.c2,
         grid=grid,
-        feasibility_tol=problem.feasibility_tol,
     )
     payload = {"command": "lift", "parameters": params.to_dict()}
     if args.lam is not None:
@@ -346,7 +341,6 @@ def cmd_lift(args) -> int:
             args.lam,
             grid=grid,
             k_max=k_max,
-            feasibility_tol=problem.feasibility_tol,
         )
         payload["search"] = {
             "lambda": args.lam,
@@ -368,7 +362,6 @@ def cmd_estimate(args) -> int:
         grid=grid,
         samples=args.samples,
         seed=args.seed,
-        feasibility_tol=problem.feasibility_tol,
     )
     payload = {
         "command": "estimate",

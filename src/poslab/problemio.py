@@ -5,25 +5,26 @@ Schema:
       "n": int,                       # number of variables, >= 1
       "objective": "x1 + 2",          # polynomial string
       "constraints": ["1 - x1^2"],    # g_1..g_m, may be empty
-      "box": [[lo, hi], ...],         # optional, default [-1,1]^n
-      "options": {                    # optional, all entries optional
-        "points_per_axis": int,
-        "refinement_rounds": int,
-        "feasibility_tol": float
-      }
+      "box": [[lo, hi], ...]          # optional, default [-1,1]^n
     }
+
+Any other key is a ParseError.  The grid oracle's settings are not part of
+the document: ``--grid`` sets the points per axis (default
+``default_points_per_axis(n)``); the refinement rounds (3) and the
+feasibility tolerance (``DEFAULT_FEASIBILITY_TOL``) are fixed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ParseError
 from .poly import Polynomial, parse_polynomial
 from .semialg import DEFAULT_FEASIBILITY_TOL, GridSpec, SemialgebraicSystem, default_points_per_axis
 
-_OPTION_TYPES = {"points_per_axis": int, "refinement_rounds": int, "feasibility_tol": float}
+_KEYS = ("n", "objective", "constraints", "box")
 
 
 @dataclass(frozen=True)
@@ -32,27 +33,30 @@ class ProblemDocument:
     objective: Polynomial
     system: SemialgebraicSystem
     box: tuple[tuple[float, float], ...]
-    options: dict = field(default_factory=dict)
-
-    @property
-    def feasibility_tol(self) -> float:
-        return self.options.get("feasibility_tol", DEFAULT_FEASIBILITY_TOL)
+    feasibility_tol: ClassVar[float] = DEFAULT_FEASIBILITY_TOL
 
     def grid_spec(self, points_per_axis: int | None = None) -> GridSpec:
-        ppa = points_per_axis
-        if ppa is None:
-            ppa = self.options.get("points_per_axis", default_points_per_axis(self.dimension))
-        rounds = self.options.get("refinement_rounds", 3)
-        return GridSpec(points_per_axis=ppa, box=self.box, refinement_rounds=rounds)
+        if points_per_axis is None:
+            points_per_axis = default_points_per_axis(self.dimension)
+        return GridSpec(points_per_axis=points_per_axis, box=self.box)
 
 
 def problem_from_dict(data: dict) -> ProblemDocument:
-    try:
-        n = int(data["n"])
-        objective = parse_polynomial(str(data["objective"]), n)
-        constraints = tuple(
-            parse_polynomial(str(s), n) for s in data.get("constraints", [])
+    unknown = sorted(set(data) - set(_KEYS))
+    if unknown:
+        raise ParseError(
+            f"unknown problem document key(s) {', '.join(map(repr, unknown))}; "
+            f"expected {', '.join(_KEYS)}"
         )
+    try:
+        n = data["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ParseError(f'"n" must be an integer, got {n!r}')
+        objective = parse_polynomial(str(data["objective"]), n)
+        raw_constraints = data.get("constraints", [])
+        if not isinstance(raw_constraints, list):
+            raise ParseError(f'"constraints" must be a list, got {raw_constraints!r}')
+        constraints = tuple(parse_polynomial(str(s), n) for s in raw_constraints)
         raw_box = data.get("box")
         if raw_box is None:
             box = ((-1.0, 1.0),) * n
@@ -60,10 +64,6 @@ def problem_from_dict(data: dict) -> ProblemDocument:
             box = tuple((float(lo), float(hi)) for lo, hi in raw_box)
             if len(box) != n:
                 raise ParseError(f"box has {len(box)} axes, expected {n}")
-        options = dict(data.get("options", {}))
-        for key, kind in _OPTION_TYPES.items():
-            if key in options:
-                options[key] = kind(options[key])
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -73,7 +73,6 @@ def problem_from_dict(data: dict) -> ProblemDocument:
         objective=objective,
         system=SemialgebraicSystem(n, constraints),
         box=box,
-        options=options,
     )
 
 

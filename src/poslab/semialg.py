@@ -80,7 +80,7 @@ class GridSpec:
         if self.box is not None:
             box = tuple((float(lo), float(hi)) for lo, hi in self.box)
             for lo, hi in box:
-                if not lo < hi:
+                if not -np.inf < lo < hi < np.inf:  # NaN fails it too
                     raise InputError(f"invalid box interval [{lo}, {hi}]")
             object.__setattr__(self, "box", box)
 

@@ -1,5 +1,6 @@
 """Degree/gap bound calculators, lifting transform, fits, rounded cube."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -586,3 +587,10 @@ def test_round_hypercube_rejects_boundary_contact():
     touching = SemialgebraicSystem(1, (P("1 - x1^2"),))
     with pytest.raises(InputError):
         round_hypercube_degree(touching, GridSpec(101))
+
+
+@pytest.mark.parametrize(
+    "fn", [find_lifting_k, lifting_parameters, lojasiewicz_estimate, round_hypercube_degree]
+)
+def test_grid_functions_use_the_fixed_feasibility_tolerance(fn):
+    assert "feasibility_tol" not in inspect.signature(fn).parameters

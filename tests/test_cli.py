@@ -369,13 +369,14 @@ def test_converge_empty_levels_exits_1(tmp_path, interval_problem):
         ("converge", "2,x", {}),
         ("bounds", None, {"points_per_axis": "abc"}),
         ("converge", "2", {"feasibility_tol": "x"}),
-        ("bounds", None, {"points_per_axis": 1e30}),
     ],
 )
 def test_malformed_input_is_an_error_not_a_crash(
     tmp_path, capsys, command, levels, options
 ):
-    path = write_problem(tmp_path / "p.json", 1, "x1", ["1 - x1^2"], options=options)
+    # a nonempty ``options`` is written into the file, which refuses it
+    extra = {"options": options} if options else {}
+    path = write_problem(tmp_path / "p.json", 1, "x1", ["1 - x1^2"], **extra)
     argv = [command, "--input", path]
     if levels is not None:
         argv += ["--levels", levels]
@@ -383,6 +384,52 @@ def test_malformed_input_is_an_error_not_a_crash(
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert ("'options'" if options else "level") in err
+
+
+def test_grid_over_the_cap_is_an_error_not_a_crash(tmp_path, capsys):
+    path = write_problem(tmp_path / "p.json", 2, "x1 + x2", ["1 - x1^2 - x2^2"])
+    out = tmp_path / "b.json"
+    # 1001^2 = 1,002,001 points, one grid over MAX_GRID_POINTS
+    assert main(["bounds", "--input", path, "--grid", "1001", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "exceeds the cap" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, argv, named",
+    [
+        ({"n": 1, "objective": "x1^2", "constraint": ["x1 - 0.5"]},
+         ["solve", "--level", "2"], "'constraint'"),
+        ({"n": 1, "objective": "x1^2", "constraints": ["x1 - 0.5"],
+          "options": {"points_per_axis": 11}}, ["bounds"], "'options'"),
+        ({"n": 1.7, "objective": "x1^2", "constraints": []},
+         ["solve", "--level", "2"], '"n"'),
+        ({"n": True, "objective": "x1^2", "constraints": []},
+         ["solve", "--level", "2"], '"n"'),
+        ({"n": 1, "objective": "x1^2", "constraints": "1"},
+         ["solve", "--level", "2"], '"constraints"'),
+        ({"n": 1, "objective": "x1^2", "constraints": [], "box": [[-1, "inf"]]},
+         ["bounds"], "invalid box interval"),
+        ({"n": 1, "objective": "x1^2", "constraints": [], "box": [["-inf", 1]]},
+         ["lift"], "invalid box interval"),
+    ],
+    ids=["misspelt-key", "options", "n-float", "n-bool", "constraints-string",
+         "box-inf", "box-minus-inf"],
+)
+def test_problem_document_is_read_as_written(tmp_path, capsys, doc, argv, named):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(argv + ["--input", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bounds_rejects_nan_input(tmp_path, capsys):

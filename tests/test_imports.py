@@ -9,10 +9,14 @@ dependency.
 
 import ast
 import importlib
+import inspect
 import os
 import sys
 
 import poslab
+from poslab import semialg
+from poslab.problemio import ProblemDocument
+from poslab.semialg import DEFAULT_FEASIBILITY_TOL
 
 SOURCE_DIR = os.path.dirname(poslab.__file__)
 # numpy is the only dependency; scipy may be installed but must not be used
@@ -93,4 +97,14 @@ def test_benchmark_bindings_exist():
     ]
     if not callable(getattr(poslab.Polynomial, "evaluate_many", None)):
         missing.append("poly.Polynomial.evaluate_many")
+    if not callable(getattr(ProblemDocument, "grid_spec", None)):
+        missing.append("problemio.ProblemDocument.grid_spec")
+    # the harness takes each hierarchy problem's grid minimum as
+    # grid_min(doc.objective, doc.system, doc.grid_spec(), doc.feasibility_tol)
+    if getattr(ProblemDocument, "feasibility_tol", None) != DEFAULT_FEASIBILITY_TOL:
+        missing.append("problemio.ProblemDocument.feasibility_tol")
+    try:
+        inspect.signature(semialg.grid_min).bind("f", "system", "spec", DEFAULT_FEASIBILITY_TOL)
+    except TypeError:
+        missing.append("semialg.grid_min(f, system, spec, tol)")
     assert missing == []

@@ -134,6 +134,14 @@ def test_grid_size_cap():
     assert grid_points(((-1.0, 1.0),) * 2, 1000).shape == (MAX_GRID_POINTS, 2)
 
 
+@pytest.mark.parametrize(
+    "box", [((-1.0, 1.0), (0.0, np.inf)), ((-np.inf, 1.0),), ((np.nan, 1.0),), ((1.0, 1.0),)]
+)
+def test_grid_spec_rejects_a_box_that_is_not_a_finite_interval(box):
+    with pytest.raises(InputError, match="invalid box interval"):
+        GridSpec(11, box)
+
+
 def test_grid_min_deterministic_tie_break():
     # f constant: every feasible point ties; graded order of the grid index
     # picks the lexicographically first corner
