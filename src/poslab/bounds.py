@@ -20,12 +20,14 @@ large enough; this module computes the analytic parameters (L, lam, k) and
 probes the smallest working k on a grid.  Both evaluate h pointwise: f and
 each g_i are evaluated once on the grid and h is formed from those values,
 never expanded; ``lifting_transform`` gives the expanded h for other uses.
+The parameters carry that grid data (``LiftGrid``) so that the search on
+the same problem and grid does not sweep again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +43,9 @@ from .semialg import (
     MAX_SAMPLES,
     GridSpec,
     SemialgebraicSystem,
-    feasible_mask,
+    feasible_extent,
+    grid_axes,
+    grid_feasible_mask,
     grid_min,
     grid_points,
 )
@@ -158,9 +162,25 @@ def gap_bound(inputs: BoundInputs) -> GapBound:
 # lifting transform
 
 
+@dataclass(frozen=True, eq=False)
+class LiftGrid:
+    """What the lifting functions read from the grid oracle: its minimum
+    f* > 0 and the values of f and of each g_i on the grid points, flat in
+    the row order of ``grid_points``, with the grid's axes."""
+
+    f_star: float
+    f_values: np.ndarray
+    g_values: tuple[np.ndarray, ...]
+    axes: tuple[np.ndarray, ...]
+
+
 @dataclass(frozen=True)
 class LiftingParameters:
-    """Analytic lifting data L, lam, k plus the observed grid minimum of h."""
+    """Analytic lifting data L, lam, k plus the observed grid minimum of h.
+
+    ``lift_grid`` is the oracle sweep they were computed from, for
+    ``find_lifting_k`` on the same problem and grid; it is not part of the
+    reported data."""
 
     L: float
     lam: float
@@ -169,6 +189,7 @@ class LiftingParameters:
     c1: float
     c2: float
     empirical_min_h: float
+    lift_grid: LiftGrid | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -261,12 +282,16 @@ def _lifted_minimum(
 
 
 def _check_constraints_at_most_one(
-    system: SemialgebraicSystem, pts: np.ndarray, g_vals: list[np.ndarray]
+    system: SemialgebraicSystem,
+    axes: tuple[np.ndarray, ...],
+    g_vals: tuple[np.ndarray, ...],
 ) -> None:
+    shape = tuple(len(axis) for axis in axes)
     for i, (g, vals) in enumerate(zip(system.constraints, g_vals)):
         worst = int(np.argmax(vals))
         if vals[worst] > 1.0 + CONSTRAINT_ONE_SLACK:
-            point = tuple(float(v) for v in pts[worst])
+            multi = np.unravel_index(worst, shape)
+            point = tuple(float(axis[j]) for axis, j in zip(axes, multi))
             raise InputError(
                 f"constraint g{i + 1} = {g} exceeds 1 on the box: "
                 f"value {vals[worst]} at {point}"
@@ -278,26 +303,25 @@ def _lift_grid(
     system: SemialgebraicSystem,
     grid: GridSpec | None,
     at_most_one: bool,
-) -> tuple[float, np.ndarray, list[np.ndarray]]:
-    """The grid-oracle minimum f* and the values of f and of each g_i on the
-    grid points, for the lifting functions.
+) -> LiftGrid:
+    """One grid-oracle sweep for the lifting functions: f* and the values of
+    f and of each g_i, evaluated per axis.
 
     InputError when f* is not positive.  With ``at_most_one``, each g_i is
     first checked to stay <= 1 on the grid, before the oracle runs.
     """
     spec = grid or GridSpec.default_for(system.dimension)
-    box = spec.resolved_box(system.dimension)
-    pts = grid_points(box, spec.points_per_axis)
-    g_vals = [g.evaluate_many(pts) for g in system.constraints]
+    axes = grid_axes(spec.resolved_box(system.dimension), spec.points_per_axis)
+    g_vals = tuple(g.evaluate_grid(axes) for g in system.constraints)
     if at_most_one:
-        _check_constraints_at_most_one(system, pts, g_vals)
+        _check_constraints_at_most_one(system, axes, g_vals)
     f_star = grid_min(f, system, spec).minimum_value
     if f_star <= 0:
         raise InputError(
             f"grid minimum {f_star} is not positive; the lifting lemma "
             "needs f > 0 on the feasible set"
         )
-    return f_star, f.evaluate_many(pts), g_vals
+    return LiftGrid(f_star, f.evaluate_grid(axes), g_vals, axes)
 
 
 def find_lifting_k(
@@ -306,19 +330,26 @@ def find_lifting_k(
     lam: float,
     grid: GridSpec | None = None,
     k_max: int = 20,
+    lift_grid: LiftGrid | None = None,
 ) -> int | None:
     """Smallest k <= k_max with min h >= f*/2 (1 - 1e-6) over the grid box.
 
     f* comes from the grid oracle and must be positive; each g_i must stay
-    <= 1 on the box (checked on the grid).  The search stops early at
-    ``lifting_k_max``, the largest k whose lifted degree fits
-    ``LIFT_DEGREE_CAP``.  None when no k tried works; InputError when
-    k_max < 1, as no k would be tried.
+    <= 1 on the box (checked on the grid).  ``lift_grid``, the
+    ``LiftingParameters.lift_grid`` of the same f, system and grid, stands
+    in for the oracle sweep, so a caller that needs both runs it once.  The
+    search stops early at ``lifting_k_max``, the largest k whose lifted
+    degree fits ``LIFT_DEGREE_CAP``.  None when no k tried works; InputError
+    when k_max < 1, as no k would be tried.
     """
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
-    f_star, f_vals, g_vals = _lift_grid(f, system, grid, at_most_one=True)
-    target = 0.5 * f_star * (1.0 - 1e-6)
+    if lift_grid is None:
+        lift_grid = _lift_grid(f, system, grid, at_most_one=True)
+    else:
+        _check_constraints_at_most_one(system, lift_grid.axes, lift_grid.g_values)
+    target = 0.5 * lift_grid.f_star * (1.0 - 1e-6)
+    f_vals, g_vals = lift_grid.f_values, lift_grid.g_values
     for k in range(1, lifting_k_max(f, system, lam, k_max) + 1):
         if _lifted_minimum(f, system, lam, k, f_vals, g_vals) >= target:
             return k
@@ -343,7 +374,8 @@ def lifting_parameters(
     d = f.degree
     if d < 1:
         raise InputError("lifting parameters need a nonconstant objective")
-    f_star, f_vals, g_vals = _lift_grid(f, system, grid, at_most_one=False)
+    lift_grid = _lift_grid(f, system, grid, at_most_one=False)
+    f_star, f_vals, g_vals = lift_grid.f_star, lift_grid.f_values, lift_grid.g_values
     n = float(f.dimension)
     norm_f = weighted_norm(f)
     big_l = d**2 * n ** (d - 1) * norm_f / f_star
@@ -372,7 +404,8 @@ def lifting_parameters(
             f"at lambda = {lam}"
         )
     return LiftingParameters(
-        L=big_l, lam=lam, k=k, c0=c0, c1=c1, c2=c2, empirical_min_h=empirical
+        L=big_l, lam=lam, k=k, c0=c0, c1=c1, c2=c2, empirical_min_h=empirical,
+        lift_grid=lift_grid,
     )
 
 
@@ -427,6 +460,13 @@ def _feasible_distances(
     nearest point too.  Such steps approach the sample's cell and end in one
     of the two sets.
 
+    The near set only ever adds interior feasible points: a boundary one is
+    in the other set already.  So a sample needs it only when its rounded
+    index lies within one step on every axis (Chebyshev distance 1) of an
+    interior feasible point; that region is the interior mask dilated by one
+    step along each axis in turn.  Any other sample gets its nearest point
+    from the boundary set alone, and skips the 3^n near points.
+
     Every distance that counts is computed with the reference expression
     D(x, p) = sum((x - p) ** 2), the same as a sweep over all feasible
     points, and a minimum of floats is exact, so the result is bit-identical
@@ -453,58 +493,71 @@ def _feasible_distances(
     - Confirm.  The kept pairs get D, reduced into the row minima with
       ``np.minimum.at``.  A row whose screen is NaN keeps every pair.
 
-    Samples go in chunks of as many rows as keep rows x boundary and
-    rows x 3^n x n within ``DISTANCE_CHUNK_ENTRIES``, so the temporaries do
-    not grow with the boundary.  Off exact ties a row keeps one or a few
-    pairs; in the worst case, when the slack admits every pair, the confirm
-    does the sweep's work and no more.
+    Both searches go in chunks of samples: as many rows as keep the near
+    search's four rows x 3^n x n temporaries together, or the screen's
+    rows x boundary matrix, within ``DISTANCE_CHUNK_ENTRIES``, so the
+    temporaries do not grow with the boundary.  Off exact ties a row
+    keeps one or a few pairs; in the worst case, when the slack admits every
+    pair, the confirm does the sweep's work and no more.
     """
     n = pts.shape[1]
     shape = (points_per_axis,) * n
+    # per axis, the grid without its last and without its first layer
+    heads = [tuple(slice(None, -1 if j == i else None) for j in range(n))
+             for i in range(n)]
+    tails = [tuple(slice(1 if j == i else None, None) for j in range(n))
+             for i in range(n)]
     grid_mask = mask.reshape(shape)
     interior = grid_mask.copy()
-    for axis in range(n):
-        head = tuple(slice(None, -1) if j == axis else slice(None) for j in range(n))
-        tail = tuple(slice(1, None) if j == axis else slice(None) for j in range(n))
+    for head, tail in zip(heads, tails):
         interior[tail] &= grid_mask[head]
         interior[head] &= grid_mask[tail]
+    beside_interior = interior.copy()
+    for head, tail in zip(heads, tails):
+        # in place: the second pass reads the first's result, which makes
+        # the two a dilation by one step in both directions
+        beside_interior[tail] |= beside_interior[head]
+        beside_interior[head] |= beside_interior[tail]
     boundary = pts[(grid_mask & ~interior).reshape(-1)]
 
     lo = np.array([b[0] for b in box])
     cell = np.array([hi - lo for lo, hi in box]) / (points_per_axis - 1)
     nearest = np.clip(np.rint((xs - lo) / cell), 0, points_per_axis - 1).astype(np.intp)
+    nearest_flat = np.ravel_multi_index(tuple(nearest.T), shape, mode="clip")
     offsets = np.indices((3,) * n).reshape(n, -1).T - 1  # (3^n, n)
 
-    centre = np.array([0.5 * (lo + hi) for lo, hi in box])
-    edge = boundary - centre
-    edge_sq = np.sum(edge**2, axis=1)
-    weights = np.vstack([-2.0 * edge.T, edge_sq])  # (n + 1, boundary)
-    shifted = xs - centre
-    augmented = np.column_stack([shifted, np.ones(xs.shape[0])])
-    reach = math.sqrt(edge_sq.max(initial=0.0))
-    scale = (np.linalg.norm(shifted, axis=1) + reach) ** 2
-    slack = 4 * (n + 3) * np.finfo(float).eps * scale
-
-    dist = np.empty(xs.shape[0])
-    chunk = max(1, DISTANCE_CHUNK_ENTRIES // max(len(boundary), offsets.size))
-    for start in range(0, xs.shape[0], chunk):
-        stop = start + chunk
-        block = xs[start:stop]
-        idx = nearest[start:stop, None, :] + offsets[None, :, :]
+    d2 = np.full(xs.shape[0], np.inf)
+    near_rows = np.flatnonzero(beside_interior.reshape(-1)[nearest_flat])
+    chunk = max(1, DISTANCE_CHUNK_ENTRIES // (4 * offsets.size))  # 4 arrays live at once
+    for start in range(0, len(near_rows), chunk):
+        rows = near_rows[start : start + chunk]
+        idx = nearest[rows, None, :] + offsets[None, :, :]
         on_grid = np.all((idx >= 0) & (idx < points_per_axis), axis=2)
         flat = np.ravel_multi_index(tuple(np.moveaxis(idx, 2, 0)), shape, mode="clip")
-        d2_near = np.sum((block[:, None, :] - pts[flat]) ** 2, axis=2)
+        d2_near = np.sum((xs[rows, None, :] - pts[flat]) ** 2, axis=2)
         d2_near[~(on_grid & mask[flat])] = np.inf
-        d2 = d2_near.min(axis=1)
-        if len(boundary):
+        d2[rows] = d2_near.min(axis=1)
+
+    if len(boundary):
+        centre = np.array([0.5 * (lo + hi) for lo, hi in box])
+        edge = boundary - centre
+        edge_sq = np.sum(edge**2, axis=1)
+        weights = np.vstack([-2.0 * edge.T, edge_sq])  # (n + 1, boundary)
+        shifted = xs - centre
+        augmented = np.column_stack([shifted, np.ones(xs.shape[0])])
+        scale = (np.linalg.norm(shifted, axis=1) + math.sqrt(edge_sq.max())) ** 2
+        slack = 4 * (n + 3) * np.finfo(float).eps * scale
+        chunk = max(1, DISTANCE_CHUNK_ENTRIES // len(boundary))
+        for start in range(0, xs.shape[0], chunk):
+            stop = start + chunk
             screen = augmented[start:stop] @ weights
             limit = screen.min(axis=1) + slack[start:stop]
             # "not above" rather than "at most": a NaN row confirms every pair
             kept = np.flatnonzero(~(screen > limit[:, None]))
             rows, cols = np.divmod(kept, len(boundary))
-            np.minimum.at(d2, rows, np.sum((block[rows] - boundary[cols]) ** 2, axis=1))
-        dist[start:stop] = np.sqrt(d2)
-    return dist
+            rows += start
+            np.minimum.at(d2, rows, np.sum((xs[rows] - boundary[cols]) ** 2, axis=1))
+    return np.sqrt(d2)
 
 
 def lojasiewicz_estimate(
@@ -522,18 +575,23 @@ def lojasiewicz_estimate(
     envelope of the log-log cloud (per-bin minima of the violation).  c3 is
     then inflated so every sample satisfies the inequality exactly.
 
-    The nearest feasible grid point is searched among the boundary feasible
-    points (those with an infeasible axis neighbour) and the 3^n grid points
-    around the sample only: a nearest point that is in neither set has a
-    feasible neighbour at least as close, and stepping so ends in one of
-    them.  The boundary points are screened by one matrix product per chunk
-    of samples, |b - c|^2 - 2 (x - c).(b - c) around the box centre c, and
-    only the pairs within a rounding-error slack of each row's least screen
-    value get the exact distance (see ``_feasible_distances`` for the
-    bound).  The distances, and so every output, are bit-identical to
-    comparing each sample with every feasible grid point, while the work
-    scales with the boundary and the temporaries stay bounded.  More than
-    ``MAX_SAMPLES`` samples raise ``CapacityError`` before any is drawn.
+    The feasibility of the grid points is evaluated per axis
+    (``grid_feasible_mask``); their coordinates are built for the distance
+    search only.  The nearest feasible grid point is searched among the
+    boundary feasible points (those with an infeasible axis neighbour) and
+    the 3^n grid points around the sample only: a nearest point that is in
+    neither set has a feasible neighbour at least as close, and stepping so
+    ends in one of them.  The 3^n near points are searched only for samples
+    within one step of an interior feasible point, as the others find none
+    there that the boundary lacks.  The boundary points are screened by one
+    matrix product per chunk of samples, |b - c|^2 - 2 (x - c).(b - c)
+    around the box centre c, and only the pairs within a rounding-error
+    slack of each row's least screen value get the exact distance (see
+    ``_feasible_distances`` for the bound).  The distances, and so every
+    output, are bit-identical to comparing each sample with every feasible
+    grid point, while the work scales with the boundary and the temporaries
+    stay bounded.  More than ``MAX_SAMPLES`` samples raise ``CapacityError``
+    before any is drawn.
     """
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
@@ -543,8 +601,9 @@ def lojasiewicz_estimate(
         raise InputError(f"seed must be >= 0, got {seed}")
     spec = grid or GridSpec.default_for(system.dimension)
     box = spec.resolved_box(system.dimension)
-    pts = grid_points(box, spec.points_per_axis)
-    mask = feasible_mask(system, pts, DEFAULT_FEASIBILITY_TOL)
+    mask = grid_feasible_mask(
+        system, grid_axes(box, spec.points_per_axis), DEFAULT_FEASIBILITY_TOL
+    )
     if not mask.any():
         raise InfeasibleAtResolutionError(
             "no feasible grid point; cannot anchor distances"
@@ -583,6 +642,7 @@ def lojasiewicz_estimate(
     xs = np.concatenate(collected_x)[:samples]
     violation = np.concatenate(collected_v)[:samples]
 
+    pts = grid_points(box, spec.points_per_axis)  # the distances need coordinates
     dist = _feasible_distances(xs, pts, mask, spec.points_per_axis, box)
     keep = dist > 0.0
     dist = dist[keep]
@@ -659,21 +719,24 @@ def round_hypercube_degree(
     """
     spec = grid or GridSpec.default_for(system.dimension)
     box = spec.resolved_box(system.dimension)
-    pts = grid_points(box, spec.points_per_axis)
-    mask = feasible_mask(system, pts, DEFAULT_FEASIBILITY_TOL)
+    axes = grid_axes(box, spec.points_per_axis)
+    mask = grid_feasible_mask(system, axes, DEFAULT_FEASIBILITY_TOL)
     if not mask.any():
         raise InfeasibleAtResolutionError(
             "no feasible grid point at this resolution"
         )
-    feas = pts[mask]
-    worst = float(np.max(np.abs(feas)))
+    worst = feasible_extent(axes, mask)
     if worst > 1.0 - CONTAINMENT_MARGIN:
         raise InputError(
             f"feasible grid point with |x_i| = {worst} is not strictly "
             "inside the open unit box; rescale the system first"
         )
+    # the feasible points' index along each axis, in grid row order
+    index = np.unravel_index(np.flatnonzero(mask), (spec.points_per_axis,) * len(axes))
     for d in range(1, d_max + 1):
-        values = (1.0 - 1.0 / d) - np.sum(feas ** (2 * d), axis=1)
+        # x_i^(2d) per axis value, laid out as the (feasible, n) points are
+        powers = np.stack([(a ** (2 * d))[i] for a, i in zip(axes, index)], axis=1)
+        values = (1.0 - 1.0 / d) - np.sum(powers, axis=1)
         if float(values.min()) > 0.0:
             return RoundedCube(degree=d, polynomial=_cube_gap_polynomial(system.dimension, d))
     return None

@@ -45,7 +45,13 @@ from .errors import (
 )
 from .poly import weighted_norm
 from .problemio import ProblemDocument, load_json, load_problem
-from .semialg import DEFAULT_FEASIBILITY_TOL, feasible_mask, grid_min, grid_points
+from .semialg import (
+    DEFAULT_FEASIBILITY_TOL,
+    feasible_extent,
+    grid_axes,
+    grid_feasible_mask,
+    grid_min,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -268,9 +274,9 @@ def cmd_bounds(args) -> int:
             else weighted_norm(problem.objective)
         )
         f_star = args.f_star if args.f_star is not None else reference.minimum_value
-        pts = grid_points(grid.resolved_box(problem.dimension), grid.points_per_axis)
-        mask = feasible_mask(problem.system, pts, DEFAULT_FEASIBILITY_TOL)
-        inside = bool(mask.any() and float(np.max(np.abs(pts[mask]))) < 1.0)
+        axes = grid_axes(grid.resolved_box(problem.dimension), grid.points_per_axis)
+        mask = grid_feasible_mask(problem.system, axes, DEFAULT_FEASIBILITY_TOL)
+        inside = bool(mask.any() and feasible_extent(axes, mask) < 1.0)
         assumptions = {"feasible_grid_inside_unit_box": inside}
     else:
         missing = [
@@ -335,12 +341,14 @@ def cmd_lift(args) -> int:
         k_max = bounds_mod.lifting_k_max(
             problem.objective, problem.system, args.lam, args.k_max
         )
+        # the oracle sweep of lifting_parameters, not a second one
         found = bounds_mod.find_lifting_k(
             problem.objective,
             problem.system,
             args.lam,
             grid=grid,
             k_max=k_max,
+            lift_grid=params.lift_grid,
         )
         payload["search"] = {
             "lambda": args.lam,

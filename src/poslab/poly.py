@@ -222,17 +222,49 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"points must have shape (N, {self.dimension}), got {pts.shape}"
             )
+        return self._sum_terms(lambda i, a: pts[:, i] ** a, (pts.shape[0],))
+
+    def evaluate_grid(self, axes) -> np.ndarray:
+        """The values on the tensor grid of ``axes`` (one 1-D array of
+        coordinates per variable), flat, in the row order of the grid's
+        points (the first axis slowest, as ``np.meshgrid(..., indexing="ij")``).
+
+        Bit-identical to ``evaluate_many`` on the (N, n) array of those
+        points, at the cost of the axes rather than the points: each power
+        ``axis ** a`` is computed on the axis values only, and a term's
+        factors are multiplied left to right by broadcasting, so every value
+        goes through the same floating-point operations in the same order.
+        """
+        axes = [np.asarray(axis, dtype=float) for axis in axes]
+        if len(axes) != self.dimension or any(axis.ndim != 1 for axis in axes):
+            raise DimensionMismatchError(
+                f"need {self.dimension} one-dimensional axes, got "
+                f"{[axis.shape for axis in axes]}"
+            )
+        shape = tuple(len(axis) for axis in axes)
+
+        def power(i: int, a: int) -> np.ndarray:
+            # the axis along dimension i, length 1 along every other
+            shape_i = [-1 if j == i else 1 for j in range(len(shape))]
+            return (axes[i] ** a).reshape(shape_i)
+
+        return self._sum_terms(power, shape).reshape(-1)
+
+    def _sum_terms(self, power, shape: tuple[int, ...]) -> np.ndarray:
+        """sum over the terms, in graded lex order, of the coefficient times
+        ``power(i, a)`` for each variable i with exponent a > 0, multiplied
+        left to right; each power is asked for once and reused.  The powers
+        broadcast to ``shape``, the shape of the result."""
         powers: dict[tuple[int, int], np.ndarray] = {}
-        total = np.zeros(pts.shape[0])
-        term = np.empty(pts.shape[0])
+        total = np.zeros(shape)
         for alpha, coef in self.terms():
-            term.fill(coef)
+            term = coef
             for i, a in enumerate(alpha):
                 if a:
-                    power = powers.get((i, a))
-                    if power is None:
-                        power = powers[(i, a)] = pts[:, i] ** a
-                    term *= power
+                    p = powers.get((i, a))
+                    if p is None:
+                        p = powers[(i, a)] = power(i, a)
+                    term = term * p
             total += term
         return total
 

@@ -8,8 +8,11 @@ Schema:
       "box": [[lo, hi], ...]          # optional, default [-1,1]^n
     }
 
-Any other key is a ParseError.  The grid oracle's settings are not part of
-the document: ``--grid`` sets the points per axis (default
+Any other key is a ParseError, and so is a box interval that is not finite
+with lo < hi (``GridSpec``'s rule), whatever the command: ``solve``,
+``certify`` and ``verify`` never grid the box, but they refuse the same
+files as the grid commands.  The grid oracle's settings are not part of the
+document: ``--grid`` sets the points per axis (default
 ``default_points_per_axis(n)``); the refinement rounds (3) and the
 feasibility tolerance (``DEFAULT_FEASIBILITY_TOL``) are fixed.
 """
@@ -22,7 +25,13 @@ from typing import ClassVar
 
 from .errors import ParseError
 from .poly import Polynomial, parse_polynomial
-from .semialg import DEFAULT_FEASIBILITY_TOL, GridSpec, SemialgebraicSystem, default_points_per_axis
+from .semialg import (
+    DEFAULT_FEASIBILITY_TOL,
+    GridSpec,
+    SemialgebraicSystem,
+    box_intervals,
+    default_points_per_axis,
+)
 
 _KEYS = ("n", "objective", "constraints", "box")
 
@@ -61,7 +70,7 @@ def problem_from_dict(data: dict) -> ProblemDocument:
         if raw_box is None:
             box = ((-1.0, 1.0),) * n
         else:
-            box = tuple((float(lo), float(hi)) for lo, hi in raw_box)
+            box = box_intervals(raw_box, ParseError)
             if len(box) != n:
                 raise ParseError(f"box has {len(box)} axes, expected {n}")
     except ParseError:

@@ -12,6 +12,7 @@ index).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,18 @@ class SemialgebraicSystem:
         return len(self.constraints)
 
 
+def box_intervals(
+    box, error: type[InputError] = InputError
+) -> tuple[tuple[float, float], ...]:
+    """``box`` as (lo, hi) float pairs; ``error`` naming the first pair that
+    is not a finite interval with lo < hi."""
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    for lo, hi in box:
+        if not -np.inf < lo < hi < np.inf:  # NaN fails it too
+            raise error(f"invalid box interval [{lo}, {hi}]")
+    return box
+
+
 def default_points_per_axis(dimension: int) -> int:
     """Desk-scale default: ~10^4..10^6 evaluations per sweep."""
     if dimension <= 2:
@@ -78,11 +91,7 @@ class GridSpec:
         if self.refinement_rounds < 0:
             raise InputError("refinement_rounds must be >= 0")
         if self.box is not None:
-            box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-            for lo, hi in box:
-                if not -np.inf < lo < hi < np.inf:  # NaN fails it too
-                    raise InputError(f"invalid box interval [{lo}, {hi}]")
-            object.__setattr__(self, "box", box)
+            object.__setattr__(self, "box", box_intervals(self.box))
 
     @classmethod
     def default_for(cls, dimension: int) -> "GridSpec":
@@ -121,10 +130,11 @@ def contains(
     return all(g.evaluate(x) >= -tol for g in system.constraints)
 
 
-def grid_points(
+def grid_axes(
     box: tuple[tuple[float, float], ...], points_per_axis: int
-) -> np.ndarray:
-    """All grid points as an (N, n) array, rows in lexicographic index order.
+) -> tuple[np.ndarray, ...]:
+    """The coordinates of the grid along each axis, ``points_per_axis``
+    evenly spaced values from lo to hi.
 
     Raises CapacityError, before anything is allocated, when the grid has
     more than ``MAX_GRID_POINTS`` points."""
@@ -134,8 +144,16 @@ def grid_points(
             f"a grid of {points_per_axis}^{len(box)} points exceeds the cap of "
             f"{MAX_GRID_POINTS} points"
         )
-    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return tuple(np.linspace(lo, hi, points_per_axis) for lo, hi in box)
+
+
+def grid_points(
+    box: tuple[tuple[float, float], ...], points_per_axis: int
+) -> np.ndarray:
+    """All grid points as an (N, n) array, rows in lexicographic index order.
+
+    Raises CapacityError like ``grid_axes``."""
+    mesh = np.meshgrid(*grid_axes(box, points_per_axis), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
@@ -146,6 +164,26 @@ def feasible_mask(
     for g in system.constraints:
         mask &= g.evaluate_many(pts) >= -tol
     return mask
+
+
+def grid_feasible_mask(
+    system: SemialgebraicSystem, axes: tuple[np.ndarray, ...], tol: float
+) -> np.ndarray:
+    """``feasible_mask`` on the points of the grid of ``axes``, evaluated
+    per axis (``Polynomial.evaluate_grid``): the same flat mask, in the same
+    row order, without the point array."""
+    mask = np.ones(math.prod(len(axis) for axis in axes), dtype=bool)
+    for g in system.constraints:
+        mask &= g.evaluate_grid(axes) >= -tol
+    return mask
+
+
+def feasible_extent(axes: tuple[np.ndarray, ...], mask: np.ndarray) -> float:
+    """The largest |x_i| over the grid points of ``axes`` that ``mask``
+    flags, and over every i: ``max(abs(grid_points(...)[mask]))`` from the
+    axes.  ``mask`` must flag at least one point."""
+    index = np.unravel_index(np.flatnonzero(mask), tuple(len(axis) for axis in axes))
+    return max(float(np.max(np.abs(axis[i]))) for axis, i in zip(axes, index))
 
 
 def _best_on_grid(
@@ -179,6 +217,11 @@ def grid_min(
 ) -> MinimizationResult:
     """Exhaustive minimization of f over the feasible grid points.
 
+    Each round evaluates the constraints and f per axis
+    (``Polynomial.evaluate_grid``): powers on the ``points_per_axis`` axis
+    values, terms by broadcasting, bit-identical to ``evaluate_many`` on
+    the grid's points, which are never built.
+
     Raises InfeasibleAtResolutionError when the initial sweep finds no
     feasible point; that outcome says nothing about the set being empty.
     Refinement never loses the incumbent, so the reported minimum is
@@ -201,8 +244,8 @@ def grid_min(
     outer_box = box
 
     for _ in range(spec.refinement_rounds + 1):
-        pts = grid_points(box, ppa)
-        mask = feasible_mask(system, pts, feasibility_tol)
+        axes = grid_axes(box, ppa)
+        mask = grid_feasible_mask(system, axes, feasibility_tol)
         feasible_count += int(mask.sum())
         if best_point is None and not mask.any():
             raise InfeasibleAtResolutionError(
@@ -210,13 +253,12 @@ def grid_min(
                 "(not a proof of emptiness)"
             )
         if mask.any():
-            values = f.evaluate_many(pts)
+            values = f.evaluate_grid(axes)
             found = _best_on_grid(values, mask, shape)
             if found is not None:
                 vmin, multi = found
                 if vmin < best_value:
                     best_value = vmin
-                    axes = [np.linspace(lo, hi, ppa) for lo, hi in box]
                     best_point = tuple(float(axes[i][multi[i]]) for i in range(len(axes)))
         # shrink around the incumbent, clipped to the original box
         assert best_point is not None

@@ -518,6 +518,38 @@ def test_feasible_distances_bit_identical_to_sweep_on_hard_grids(box, ppa, feasi
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "box, ppa",
+    [
+        (((-1.0, 1.0),), 21),
+        (((-1.0, 1.0), (-1.3, 0.9)), 15),
+        (((-1.1, 1.0), (-1.0, 1.2), (-0.9, 1.0)), 9),
+    ],
+)
+def test_feasible_distances_keep_the_near_set_beside_interior_points(box, ppa):
+    # every grid point feasible but a pinhole at the centre: the boundary is
+    # the pinhole's 2n axis neighbours, and nearly every sample's nearest
+    # feasible point is an interior one that only the near set holds
+    pts = grid_points(box, ppa)
+    mask = np.ones(len(pts), dtype=bool)
+    mask[len(pts) // 2] = False
+    lo = np.array([b[0] for b in box])
+    hi = np.array([b[1] for b in box])
+    rng = np.random.default_rng(ppa)
+    xs = np.concatenate([
+        rng.uniform(lo, hi, size=(500, len(box))),
+        pts[len(pts) // 2][None, :] + rng.uniform(-1.5, 1.5, size=(200, len(box)))
+        * (hi - lo) / (ppa - 1),  # around the pinhole
+        pts[rng.integers(0, len(pts), size=100)],
+    ])
+    got = _feasible_distances(xs, pts, mask, ppa, box)
+    assert np.array_equal(got, _distances_by_sweep(xs, pts[mask]))
+    centre = np.unravel_index(len(pts) // 2, (ppa,) * len(box))
+    steps = np.vstack([np.eye(len(box), dtype=int), -np.eye(len(box), dtype=int)])
+    boundary = pts[np.ravel_multi_index(tuple((centre + steps).T), (ppa,) * len(box))]
+    assert np.sum(got < _distances_by_sweep(xs, boundary)) > 500
+
+
 def test_feasible_distances_memory_does_not_grow_with_the_boundary():
     # n = 4 at 11 points per axis: 4,160 boundary points; the full sweep's
     # (chunk, boundary, n) temporaries peaked near 50 MB here

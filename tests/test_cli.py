@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from poslab import certificate
+from poslab import InputError, certificate
 from poslab.cli import main
 from poslab.semialg import grid_points
 
@@ -432,6 +432,24 @@ def test_problem_document_is_read_as_written(tmp_path, capsys, doc, argv, named)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("box", [[[1, -1]], [[-1, "inf"]]], ids=["reversed", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--level", "2"], ["certify", "--level", "2"],
+     ["verify", "--certificate", "missing.json"], ["bounds"]],
+    ids=["solve", "certify", "verify", "bounds"],
+)
+def test_a_bad_box_is_refused_when_the_problem_is_loaded(tmp_path, capsys, box, argv):
+    # solve, certify and verify never grid the box, yet refuse it as bounds does
+    path = write_problem(tmp_path / "p.json", 1, "x1^2", ["1 - x1^2"], box=box)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--input", path, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid box interval")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bounds_rejects_nan_input(tmp_path, capsys):
     out = tmp_path / "b.json"
     code = main(["bounds", "--d", "2", "--n", "1", "--norm-f", "nan",
@@ -559,6 +577,76 @@ def test_lift_search_stops_at_the_degree_cap(tmp_path, shifted_problem):
     assert search["found"] is False
     assert search["empirical_k"] is None
     assert search["k_max"] == 14  # the k actually searched, not --k-max
+
+
+def test_lift_search_reuses_the_parameters_oracle_sweep(tmp_path, monkeypatch):
+    # one grid_min per `lift --lambda`, and the payload the two separate
+    # sweeps of lifting_parameters and find_lifting_k gave
+    from poslab import bounds
+    from poslab.problemio import load_problem
+
+    path = write_problem(tmp_path / "p.json", 2, "x1^2 + x2^2 + x1 + 2",
+                         ["1 - x1^2 - x2^2"])
+    problem = load_problem(path)
+    grid = problem.grid_spec(31)
+    f, system = problem.objective, problem.system
+    params = bounds.lifting_parameters(f, system, 1.0, 1.0, 1.0, grid)
+    want = {
+        "command": "lift",
+        "parameters": params.to_dict(),
+        "search": {"lambda": 3.0, "k_max": 12, "found": True,
+                   "empirical_k": bounds.find_lifting_k(f, system, 3.0, grid, 12)},
+    }
+    calls = []
+    grid_min = bounds.grid_min
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return grid_min(*args, **kwargs)
+
+    monkeypatch.setattr("poslab.bounds.grid_min", counting)
+    out = tmp_path / "lift.json"
+    assert main(["lift", "--input", path, "--grid", "31", "--lambda", "3",
+                 "--k-max", "12", "--output", str(out)]) == 0
+    assert len(calls) == 1
+    assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def test_lift_calls_both_lifting_functions_through_the_module(tmp_path, monkeypatch,
+                                                               shifted_problem):
+    # the benchmark's trace wraps these two module attributes
+    from poslab import bounds
+
+    called = []
+    for name in ("lifting_parameters", "find_lifting_k"):
+        original = getattr(bounds, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            called.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, recording)
+    assert main(["lift", "--input", shifted_problem, "--lambda", "0.1",
+                 "--grid", "101"]) == 0
+    assert called == ["lifting_parameters", "find_lifting_k"]
+
+
+def test_lift_search_still_checks_constraints_above_one(tmp_path, capsys):
+    # lifting_parameters has no such check; the search refuses the problem
+    # with the message of a direct find_lifting_k call
+    from poslab import GridSpec, SemialgebraicSystem, find_lifting_k
+    from poslab import parse_polynomial as P
+
+    path = write_problem(tmp_path / "p.json", 1, "x1 + 3", ["2 - x1^2"])
+    assert main(["lift", "--input", path, "--grid", "41"]) == 0
+    capsys.readouterr()
+    assert main(["lift", "--input", path, "--grid", "41", "--lambda", "1"]) == 1
+    err = capsys.readouterr().err
+    system = SemialgebraicSystem(1, (P("2 - x1^2", 1),))
+    with pytest.raises(InputError) as direct:
+        find_lifting_k(P("x1 + 3", 1), system, 1.0, GridSpec(41, ((-1.0, 1.0),)))
+    assert err == f"error: {direct.value}\n"
+    assert "exceeds 1" in err
 
 
 def test_estimate_cubic_exponent(tmp_path):

@@ -144,6 +144,40 @@ def test_evaluate_many_bit_identical_to_term_by_term(n):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluate_grid_bit_identical_to_evaluate_many_on_the_grid_points(n):
+    # per-axis powers and broadcast products against the (N, n) point array
+    from poslab.semialg import grid_axes, grid_points
+
+    rng = np.random.default_rng(200 + n)
+    per_axis = {1: 301, 2: 41, 3: 13, 4: 7}[n]
+    for _ in range(100):
+        terms = {
+            tuple(int(a) for a in rng.integers(0, 9, size=n)): float(rng.normal())
+            for _ in range(int(rng.integers(1, 12)))
+        }
+        f = Polynomial(n, terms)
+        box = tuple(tuple(sorted(rng.uniform(-2.0, 2.0, size=2))) for _ in range(n))
+        ppa = int(rng.integers(2, per_axis + 1))
+        got = f.evaluate_grid(grid_axes(box, ppa))
+        want = f.evaluate_many(grid_points(box, ppa))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a grid through 0 and a constant term: signed zeros and the bare scalar
+    f = Polynomial(2, {(0, 0): 0.5, (3, 0): -1.0, (1, 2): 2.0})
+    box = ((-1.0, 1.0),) * 2
+    got = f.evaluate_grid(grid_axes(box, 5))
+    want = f.evaluate_many(grid_points(box, 5))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_evaluate_grid_checks_its_axes():
+    f = P("x1 + x2")
+    with pytest.raises(DimensionMismatchError):
+        f.evaluate_grid([np.linspace(0, 1, 3)])
+    with pytest.raises(DimensionMismatchError):
+        f.evaluate_grid([np.zeros((2, 2)), np.zeros(2)])
+
+
 # ----------------------------------------------------------------------
 # weighted norm
 

@@ -37,3 +37,12 @@ def test_grid_spec_defaults_and_points_per_axis():
     assert doc.grid_spec() == GridSpec(default_points_per_axis(2), doc.box, 3)
     spec = doc.grid_spec(11)
     assert (spec.points_per_axis, spec.refinement_rounds, spec.box) == (11, 3, doc.box)
+
+
+@pytest.mark.parametrize(
+    "box", [[[1, -1]], [[0, 0]], [[-1, "inf"]], [["-inf", 1]], [["nan", 1]]]
+)
+def test_a_box_that_is_not_a_finite_interval_is_refused(box):
+    # the rule of GridSpec, applied when the document is read
+    with pytest.raises(ParseError, match="invalid box interval"):
+        problem_from_dict({"n": 1, "objective": "x1", "box": box})

@@ -134,6 +134,36 @@ def test_grid_size_cap():
     assert grid_points(((-1.0, 1.0),) * 2, 1000).shape == (MAX_GRID_POINTS, 2)
 
 
+@pytest.mark.parametrize("n, ppa", [(1, 201), (2, 31), (3, 11)])
+def test_per_axis_grid_sweep_matches_the_point_array(n, ppa):
+    # grid_min's rounds and the grid callers never build the point array;
+    # what they compute from the axes is what the points give, exactly
+    from poslab.semialg import (
+        feasible_extent,
+        feasible_mask,
+        grid_axes,
+        grid_feasible_mask,
+        grid_points,
+    )
+
+    rng = np.random.default_rng(300 + n)
+    for _ in range(10):
+        f = random_positive_degree_polynomial(rng, n, 4)
+        g = random_positive_degree_polynomial(rng, n, 2)
+        ball = SemialgebraicSystem(n, (g, box_system(n).constraints[0]))
+        box = tuple(tuple(sorted(rng.uniform(-1.5, 1.5, size=2))) for _ in range(n))
+        pts = grid_points(box, ppa)
+        axes = grid_axes(box, ppa)
+        mask = feasible_mask(ball, pts, 1e-9)
+        assert np.array_equal(grid_feasible_mask(ball, axes, 1e-9), mask)
+        if not mask.any():
+            continue
+        assert feasible_extent(axes, mask) == float(np.max(np.abs(pts[mask])))
+        result = grid_min(f, ball, GridSpec(ppa, box, refinement_rounds=0))
+        assert result.minimum_value == float(np.min(f.evaluate_many(pts)[mask]))
+        assert result.feasible_count == int(mask.sum())
+
+
 @pytest.mark.parametrize(
     "box", [((-1.0, 1.0), (0.0, np.inf)), ((-np.inf, 1.0),), ((np.nan, 1.0),), ((1.0, 1.0),)]
 )
