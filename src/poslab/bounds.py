@@ -27,7 +27,7 @@ the same problem and grid does not sweep again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,12 +108,7 @@ class GapBound:
     threshold_saturated: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "applicable": self.applicable,
-            "threshold": self.threshold,
-            "threshold_saturated": self.threshold_saturated,
-        }
+        return asdict(self)
 
 
 def schmuedgen_degree_bound(inputs: BoundInputs) -> float:
@@ -276,8 +271,10 @@ def _lifted_minimum(
     _check_lift(f, system, lam, k)
     h = f_vals
     if lam != 0.0:
-        for gv in g_vals:
-            h = h - lam * ((gv - 1.0) ** (2 * k) * gv)
+        # a huge lam overflows the penalty to +-inf, the limit h tends to
+        with np.errstate(over="ignore"):
+            for gv in g_vals:
+                h = h - lam * ((gv - 1.0) ** (2 * k) * gv)
     return float(np.min(h))
 
 
@@ -429,13 +426,7 @@ class LojasiewiczFit:
     dist_error_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "c2_exponent": self.c2_exponent,
-            "c3_scale": self.c3_scale,
-            "sample_count": self.sample_count,
-            "max_violation": self.max_violation,
-            "dist_error_bound": self.dist_error_bound,
-        }
+        return asdict(self)
 
 
 def _feasible_distances(

@@ -7,8 +7,10 @@ are 1, g_1, ..., g_m indexed by i; for preordering certificates they are the
 products g^delta indexed by delta in {0,1}^m.
 
 Verification is independent of how a certificate was found: reconstruct the
-right-hand side exactly in sparse arithmetic, measure the residual against f
-in the weighted coefficient norm, and check the Gram spectra.  A certificate
+right-hand side from the certificate alone (float sums per packed monomial
+key, see ``reconstruct``), measure the residual against f in the weighted
+coefficient norm (``Polynomial`` subtraction prunes |c| <= 1e-14), and check
+the Gram spectra.  A certificate
 passes at residual <= ``DEFAULT_RESIDUAL_TOL`` and Gram eigenvalues >=
 -``DEFAULT_PSD_TOL``; both are module constants that no caller can loosen.
 """
@@ -27,10 +29,12 @@ from .poly import (
     Polynomial,
     evaluate_exact,
     format_polynomial,
+    gram_product_keys,
+    key_monomials,
     parse_polynomial,
     weighted_norm,
 )
-from .problemio import load_json
+from .problemio import json_int, load_json
 from .semialg import SemialgebraicSystem
 
 QUADRATIC_MODULE = "quadratic_module"
@@ -85,21 +89,14 @@ class CertificateEntry:
             )
         if not np.allclose(g, g.T, atol=1e-10):
             raise InputError("Gram matrix is not symmetric")
+        n, top = self.basis.dimension, self.basis.max_degree
+        for alpha in self.basis.monomials:
+            if len(alpha) != n or min(alpha, default=0) < 0 or sum(alpha) > top:
+                raise InputError(
+                    f"basis monomial {list(alpha)} is not an exponent vector of "
+                    f"length {n} with entries >= 0 and degree <= {top}"
+                )
         object.__setattr__(self, "gram", 0.5 * (g + g.T))
-
-    def sos_part(self) -> Polynomial:
-        """The polynomial z^T Q z over this entry's monomial basis."""
-        n = self.basis.dimension
-        monos = self.basis.monomials
-        terms: dict[tuple[int, ...], float] = {}
-        for r, beta in enumerate(monos):
-            for s, gamma in enumerate(monos):
-                q = self.gram[r, s]
-                if q == 0.0:
-                    continue
-                key = tuple(b + c for b, c in zip(beta, gamma))
-                terms[key] = terms.get(key, 0.0) + q
-        return Polynomial(n, {a: c for a, c in terms.items() if c != 0.0})
 
     def min_eigenvalue(self) -> float:
         if self.gram.shape[0] == 0:
@@ -150,11 +147,23 @@ class VerificationReport:
 
 
 def reconstruct(cert: Certificate) -> Polynomial:
-    """sum_i (z_i^T Q_i z_i) * generator_i as an explicit polynomial."""
-    total = Polynomial.zero(cert.system.dimension)
-    for entry in cert.entries:
-        total = total + entry.sos_part() * cert.generator(entry)
-    return total
+    """sum_i (z_i^T Q_i z_i) * generator_i as an explicit polynomial.
+
+    Q[r, s] of each upper-triangle Gram pair (doubled off the diagonal) times
+    each generator coefficient is summed on the packed key of z_r z_s x^alpha
+    (``poly.gram_product_keys``), in float arithmetic, in entry, pair and
+    term order; no sum is pruned."""
+    n, gens = cert.system.dimension, [cert.generator(e) for e in cert.entries]
+    top = max([0] + [2 * e.basis.max_degree + g.degree for e, g in zip(cert.entries, gens)])
+    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for entry, gen in zip(cert.entries, gens):
+        r, s, entry_keys, coefs = gram_product_keys(entry.basis, gen, top)
+        keys.append(entry_keys.ravel())
+        q = np.where(r == s, 1.0, 2.0) * entry.gram[r, s]
+        values.append(np.outer(q, coefs).ravel())
+    unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(inverse, weights=np.concatenate(values), minlength=unique.size)
+    return Polynomial(n, dict(zip(key_monomials(unique, n, top), sums)))
 
 
 def verify(cert: Certificate, f: Polynomial) -> VerificationReport:
@@ -268,22 +277,14 @@ def extract_squares(cert: Certificate) -> list[tuple[Polynomial, list[Polynomial
     """
     out: list[tuple[Polynomial, list[Polynomial]]] = []
     for entry in cert.entries:
-        gram = round_psd(entry.gram)
-        w, v = np.linalg.eigh(gram)
+        w, v = np.linalg.eigh(round_psd(entry.gram))
         squares: list[Polynomial] = []
-        n = entry.basis.dimension
         for j in range(w.size - 1, -1, -1):  # largest eigenvalue first
-            if w[j] <= 0.0:
-                continue
-            scale = float(np.sqrt(w[j]))
-            terms: dict[tuple[int, ...], float] = {}
-            for r, beta in enumerate(entry.basis.monomials):
-                coef = scale * float(v[r, j])
-                if coef != 0.0:
-                    terms[beta] = coef
-            p = Polynomial(n, terms)
-            if not p.is_zero:
-                squares.append(p)
+            if w[j] > 0.0:
+                terms = zip(entry.basis.monomials, np.sqrt(w[j]) * v[:, j])
+                p = Polynomial(entry.basis.dimension, dict(terms))
+                if not p.is_zero:
+                    squares.append(p)
         out.append((cert.generator(entry), squares))
     return out
 
@@ -325,19 +326,22 @@ def certificate_to_dict(cert: Certificate) -> dict:
 def certificate_from_dict(data: dict) -> Certificate:
     try:
         mode = data["mode"]
-        n = int(data["n"])
+        n = json_int(data["n"], '"n"')
         generators = [parse_polynomial(s, n) for s in data["generators"]]
         system = SemialgebraicSystem(n, tuple(generators))
         entries = []
         for rec in data["entries"]:
-            monos = tuple(tuple(int(a) for a in alpha) for alpha in rec["basis"])
+            monos = tuple(
+                tuple(json_int(a, "a basis exponent") for a in alpha)
+                for alpha in rec["basis"]
+            )
             max_degree = max((sum(a) for a in monos), default=0)
             basis = MonomialBasis(dimension=n, max_degree=max_degree, monomials=monos)
             gram = np.asarray(rec["gram"], dtype=float)
             if "index" in rec:
-                index: int | tuple[int, ...] = int(rec["index"])
+                index: int | tuple[int, ...] = json_int(rec["index"], '"index"')
             elif "delta" in rec:
-                index = tuple(int(d) for d in rec["delta"])
+                index = tuple(json_int(d, 'a "delta" entry') for d in rec["delta"])
             else:
                 raise KeyError("entry needs 'index' or 'delta'")
             entries.append(CertificateEntry(index=index, basis=basis, gram=gram))

@@ -193,9 +193,7 @@ def cmd_verify(args) -> int:
         _emit_json({"command": "verify", "disproof": fields}, args.output)
         return EXIT_OK if report.passed else EXIT_VERIFICATION
     cert = certificate_from_dict(load_json(args.certificate, "certificate"))
-    if cert.system.dimension != problem.dimension or tuple(
-        cert.system.constraints
-    ) != tuple(problem.system.constraints):
+    if cert.system != problem.system:
         raise InputError(
             "certificate generators do not match the problem constraints"
         )

@@ -350,9 +350,51 @@ def monomial_basis(dimension: int, max_degree: int) -> MonomialBasis:
         )
     monos: list[Monomial] = []
     for d in range(max_degree + 1):
-        monos.extend(_degree_compositions(d, dimension))
-    monos.sort(key=grlex_key)
+        monos.extend(_degree_compositions(d, dimension))  # already graded lex
     return MonomialBasis(dimension=dimension, max_degree=max_degree, monomials=tuple(monos))
+
+
+# ----------------------------------------------------------------------
+# packed monomial keys: with radix R = top_degree + 1, above every exponent,
+# key(alpha) = |alpha| R^n - sum_i a_i R^(n-1-i) = sum_i a_i (R^n - R^(n-1-i)).
+# A key is additive, key(beta + gamma) = key(beta) + key(gamma), and keys
+# increase in graded lex order; int64 when top_degree R^n fits, else Python ints.
+
+
+def monomial_keys(monomials, dimension: int, top_degree: int) -> np.ndarray:
+    """The packed keys of exponent vectors of total degree <= top_degree."""
+    radix = top_degree + 1
+    weights = [radix**dimension - radix ** (dimension - 1 - i) for i in range(dimension)]
+    fits = top_degree * radix**dimension < 2**63
+    exps = np.array(monomials, dtype=np.int64).reshape(-1, dimension)
+    return exps @ np.array(weights, dtype=np.int64 if fits else object)
+
+
+def key_monomials(keys: np.ndarray, dimension: int, top_degree: int) -> list[Monomial]:
+    """The exponent vectors of packed keys: ``monomial_keys`` inverted."""
+    radix, power = top_degree + 1, (top_degree + 1) ** dimension
+    rest = -(-keys // power) * power - keys  # |alpha| R^n - key
+    digits = [(rest // radix ** (dimension - 1 - i)) % radix for i in range(dimension)]
+    return list(zip(*(d.tolist() for d in digits)))
+
+
+def gram_product_keys(
+    basis: MonomialBasis, generator: Polynomial, top_degree: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the Gram entries of ``basis`` land once multiplied by
+    ``generator``, as (r, s, keys, coefs): the upper-triangle pairs
+    r[p] <= s[p] in row-major order, and keys[p, t], the packed key of
+    z_r z_s x^alpha_t for the t-th term of the generator in graded lex order,
+    whose coefficient is coefs[t].  Every product must have degree <=
+    top_degree."""
+    terms = list(generator.terms())
+    monos = [*basis.monomials, *(alpha for alpha, _ in terms)]
+    keys = monomial_keys(monos, generator.dimension, top_degree)
+    size = len(basis.monomials)
+    index = np.arange(size)
+    r, s = np.nonzero(index[:, None] <= index)  # np.triu_indices, at less cost
+    coefs = np.array([coef for _, coef in terms])
+    return r, s, (keys[r] + keys[s])[:, None] + keys[size:], coefs
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,13 @@ class ProblemDocument:
         return GridSpec(points_per_axis=points_per_axis, box=self.box)
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool), else ParseError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def problem_from_dict(data: dict) -> ProblemDocument:
     unknown = sorted(set(data) - set(_KEYS))
     if unknown:
@@ -58,9 +65,7 @@ def problem_from_dict(data: dict) -> ProblemDocument:
             f"expected {', '.join(_KEYS)}"
         )
     try:
-        n = data["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ParseError(f'"n" must be an integer, got {n!r}')
+        n = json_int(data["n"], '"n"')
         objective = parse_polynomial(str(data["objective"]), n)
         raw_constraints = data.get("constraints", [])
         if not isinstance(raw_constraints, list):

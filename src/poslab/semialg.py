@@ -190,23 +190,16 @@ def _best_on_grid(
     values: np.ndarray, mask: np.ndarray, shape: tuple[int, ...]
 ) -> tuple[float, tuple[int, ...]] | None:
     """Minimum over masked entries; exact-value ties resolved by the graded
-    order (sum of index coordinates, then the index tuple)."""
+    order (sum of index coordinates, then the index tuple, which orders as
+    the flat index does)."""
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return None
     vals = values[idx]
     vmin = float(vals.min())
-    ties = idx[vals == vmin]
-    best_key = None
-    best_flat = -1
-    for flat in ties:
-        multi = np.unravel_index(int(flat), shape)
-        key = (int(sum(multi)), tuple(int(v) for v in multi))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_flat = int(flat)
-    multi = np.unravel_index(best_flat, shape)
-    return vmin, tuple(int(v) for v in multi)
+    ties = idx[vals == vmin]  # ascending, so argmin keeps the least index tuple
+    best = ties[np.argmin(np.sum(np.unravel_index(ties, shape), axis=0))]
+    return vmin, tuple(int(v) for v in np.unravel_index(best, shape))
 
 
 def grid_min(

@@ -64,7 +64,9 @@ from .certificate import (
     verify_disproof,
 )
 from .errors import CapacityError, DimensionMismatchError, InputError, SolverError
-from .poly import MonomialBasis, Polynomial, monomial_basis
+from .poly import (
+    MonomialBasis, Polynomial, gram_product_keys, monomial_basis, monomial_keys
+)
 from .semialg import SemialgebraicSystem, ball_gap_polynomial
 
 MAX_PREORDERING_CONSTRAINTS = 12
@@ -176,26 +178,24 @@ def _compile(
 
     Gram entry (r, s) of a block meets row gamma through the one generator
     term alpha with z_r z_s x^alpha = x^gamma, so each matrix entry is one
-    generator coefficient, times sqrt(2) off the diagonal."""
+    generator coefficient, times sqrt(2) off the diagonal.  The rows of
+    those products are found among the packed keys of the row monomials,
+    which increase in graded lex order (``poly.gram_product_keys``)."""
     n = system.dimension
     index_monos = monomial_basis(n, level).monomials
-    row_of = {alpha: i for i, alpha in enumerate(index_monos)}
+    row_keys = monomial_keys(index_monos, n, level)
     block_sizes = tuple(len(b.basis) for b in blocks)
     constraints = np.zeros((len(index_monos), sum(s * (s + 1) // 2 for s in block_sizes)))
-    root2 = np.sqrt(2.0)
 
     col = 0
     for block in blocks:
-        monos = block.basis.monomials
-        gen_terms = list(block.generator.terms())
-        for r in range(len(monos)):
-            for s in range(r, len(monos)):
-                base = tuple(a + b for a, b in zip(monos[r], monos[s]))
-                weight = 1.0 if r == s else root2
-                for alpha, coef in gen_terms:
-                    gamma = tuple(a + b for a, b in zip(base, alpha))
-                    constraints[row_of[gamma], col] = coef * weight
-                col += 1
+        r, s, keys, coefs = gram_product_keys(block.basis, block.generator, level)
+        cols = col + np.arange(r.size)
+        weights = np.where(r == s, 1.0, np.sqrt(2.0))
+        constraints[np.searchsorted(row_keys, keys), cols[:, None]] = (
+            coefs * weights[:, None]
+        )
+        col += r.size
 
     rhs = np.array([target.coefficient(alpha) for alpha in index_monos])
     return sdp.SdpProblem(block_sizes, constraints, rhs)
@@ -275,33 +275,23 @@ def _membership_search(problem: MembershipProblem) -> MembershipResult:
     blocks = _generator_blocks(system, level, problem.mode)
     sdp_problem = _compile(target, system, level, blocks)
     solution = sdp.solve(sdp_problem, _disproof_witness(target, system, level))
+
+    def result(found: bool, reason: str, **evidence) -> MembershipResult:
+        return MembershipResult(
+            found=found, reason=reason, level=level, status=solution.status,
+            solver=solution.diagnostics(), **evidence,
+        )
+
     if solution.ok:
         cert = _certificate_from_blocks(
             problem.mode, system, blocks, solution.block_values
         )
         report = verify(cert, target)
-        if report.passed:
-            return MembershipResult(
-                found=True,
-                certificate=cert,
-                reason="",
-                level=level,
-                status=solution.status,
-                verification=report,
-                solver=solution.diagnostics(),
-            )
-        return MembershipResult(
-            found=False,
-            certificate=cert,
-            reason=(
-                f"solver output failed independent verification "
-                f"(residual {report.residual_norm:.3e})"
-            ),
-            level=level,
-            status=solution.status,
-            verification=report,
-            solver=solution.diagnostics(),
+        reason = "" if report.passed else (
+            f"solver output failed independent verification "
+            f"(residual {report.residual_norm:.3e})"
         )
+        return result(report.passed, reason, certificate=cert, verification=report)
     if solution.witness is not None:
         reason = (
             "disproof: the target is in no level of the cone, since it is "
@@ -319,15 +309,7 @@ def _membership_search(problem: MembershipProblem) -> MembershipResult:
             "solver iteration cap reached; membership at this level is "
             "inconclusive"
         )
-    return MembershipResult(
-        found=False,
-        certificate=None,
-        reason=reason,
-        level=level,
-        status=solution.status,
-        solver=solution.diagnostics(),
-        disproof=solution.witness,
-    )
+    return result(False, reason, certificate=None, disproof=solution.witness)
 
 
 def module_membership(problem: MembershipProblem) -> MembershipResult:
@@ -433,6 +415,13 @@ def lasserre_bound(
         member.block_sizes, member.constraints[1:], member.rhs[1:],
         member.constraints[0],
     ))
+
+    def result(bound: float, reason: str, **evidence) -> LasserreResult:
+        return LasserreResult(
+            level=level, lower_bound=bound, reason=reason, status=solution.status,
+            solver=solution.diagnostics(), **evidence,
+        )
+
     if solution.ok:
         bound = f.coefficient((0,) * f.dimension) - solution.objective_value
         cert = _certificate_from_blocks(
@@ -440,42 +429,19 @@ def lasserre_bound(
         )
         shifted = f - Polynomial.constant(f.dimension, bound)
         report = verify(cert, shifted)
-        if not report.passed:
-            return LasserreResult(
-                level=level,
-                lower_bound=float("-inf"),
-                certificate=cert,
-                reason=(
-                    f"solver output failed independent verification "
-                    f"(residual {report.residual_norm:.3e}, min Gram eigenvalue "
-                    f"{report.min_gram_eigenvalue:.3e}); no bound is certified"
-                ),
-                status=solution.status,
-                verification=report,
-                solver=solution.diagnostics(),
-            )
-        return LasserreResult(
-            level=level,
-            lower_bound=bound,
-            certificate=cert,
-            reason="",
-            status=solution.status,
-            verification=report,
-            solver=solution.diagnostics(),
-        )
+        if report.passed:
+            return result(bound, "", certificate=cert, verification=report)
+        return result(float("-inf"), (
+            f"solver output failed independent verification "
+            f"(residual {report.residual_norm:.3e}, min Gram eigenvalue "
+            f"{report.min_gram_eigenvalue:.3e}); no bound is certified"
+        ), certificate=cert, verification=report)
     if solution.status == "infeasible-detected":
-        return LasserreResult(
-            level=level,
-            lower_bound=float("-inf"),
-            certificate=None,
-            reason=(
-                f"no shift of the objective found in the level-{level} cone "
-                f"({_infeasibility_evidence(solution, level)}); nothing is "
-                "proved about the untruncated cone"
-            ),
-            status=solution.status,
-            solver=solution.diagnostics(),
-        )
+        return result(float("-inf"), (
+            f"no shift of the objective found in the level-{level} cone "
+            f"({_infeasibility_evidence(solution, level)}); nothing is "
+            "proved about the untruncated cone"
+        ), certificate=None)
     raise SolverError(
         "hierarchy SDP did not converge within the iteration cap",
         solution.diagnostics(),

@@ -240,6 +240,67 @@ def test_verify_mismatched_generators_exits_1(tmp_path, shifted_problem):
                  "--certificate", str(cert_path)]) == 1
 
 
+def _zero_padded(entry, row):
+    """The entry with ``row`` added to its basis and a zero Gram row/column."""
+    size = len(entry["gram"])
+    entry["basis"].append(row)
+    entry["gram"] = [r + [0.0] for r in entry["gram"]] + [[0.0] * (size + 1)]
+
+
+# 2 + x1 = (sigma_0 over (1, x1)) + (1/2)(1 - x1^2), as preordering entries
+_PREORDERING_CERT = {
+    "mode": "preordering", "n": 1, "generators": ["-x1^2 + 1"],
+    "entries": [
+        {"delta": [0], "basis": [[0], [1]], "gram": [[1.5, 0.5], [0.5, 0.5]]},
+        {"delta": [1], "basis": [[0]], "gram": [[0.5]]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda c: c.update(n=1.7), '"n" must be an integer'),
+        (lambda c: c.update(n=True), '"n" must be an integer'),
+        (lambda c: c["entries"][1].update(index=0.9), '"index" must be an integer'),
+        (lambda c: c["entries"][1].update(index=True), '"index" must be an integer'),
+        (lambda c: c["entries"][0]["basis"][1].__setitem__(0, 0.5),
+         "a basis exponent must be an integer"),
+        (lambda c: _zero_padded(c["entries"][0], [-1]), "entries >= 0"),
+        (lambda c: _zero_padded(c["entries"][0], [0, 1]), "length 1"),
+        (lambda c: c.update(_PREORDERING_CERT, entries=[
+            dict(_PREORDERING_CERT["entries"][0], delta=[True]),
+            _PREORDERING_CERT["entries"][1]]), 'a "delta" entry must be an integer'),
+        (lambda c: c.update(_PREORDERING_CERT, entries=[
+            dict(_PREORDERING_CERT["entries"][0], delta=[0.0]),
+            _PREORDERING_CERT["entries"][1]]), 'a "delta" entry must be an integer'),
+    ],
+    ids=["n-float", "n-bool", "index-float", "index-bool", "exponent-float",
+         "exponent-negative", "row-length", "delta-bool", "delta-float"],
+)
+def test_verify_reads_only_integers_where_written(
+    tmp_path, capsys, shifted_problem, edit, named
+):
+    res = tmp_path / "res.json"
+    main(["certify", "--input", shifted_problem, "--level", "2", "--output", str(res)])
+    cert = json.loads(res.read_text())["certificate"]
+    cert_path = tmp_path / "cert.json"
+    if "delta" in named:  # the unedited preordering certificate verifies
+        cert_path.write_text(json.dumps(_PREORDERING_CERT))
+        assert main(["verify", "--input", shifted_problem,
+                     "--certificate", str(cert_path)]) == 0
+    edit(cert)
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert main(["verify", "--input", shifted_problem, "--certificate", str(cert_path),
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+    assert not out.exists()
+
+
 def test_disproof_roundtrip_through_separate_processes(tmp_path):
     # negative near the origin, inside the set: in no level of the module
     path = write_problem(tmp_path / "n.json", 2, "x1^2 + x2^2 - 0.5",
@@ -564,6 +625,18 @@ def test_lift_search_not_found_exits_2(tmp_path, shifted_problem):
     code = main(["lift", "--input", shifted_problem, "--lambda", "1e6",
                  "--k-max", "3", "--grid", "10001"])
     assert code == 2
+
+
+def test_lift_search_with_a_huge_lambda_writes_nothing_to_stderr(tmp_path):
+    # lam * (g - 1)^(2k) g overflows to -inf inside the disk: h has no
+    # finite minimum, which is the verdict, and no numpy warning is printed
+    path = write_problem(tmp_path / "p.json", 2, "x1^2 + x2 + 3", ["1 - x1^2 - x2^2"])
+    out = tmp_path / "lift.json"
+    proc = _run_module(["lift", "--input", path, "--grid", "5", "--lambda", "1e300",
+                        "--output", str(out)], {})
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+    assert json.loads(out.read_text())["search"]["found"] is False
 
 
 def test_lift_search_stops_at_the_degree_cap(tmp_path, shifted_problem):

@@ -145,6 +145,80 @@ def test_compiled_rows_match_reconstructed_coefficients(mode, bound_form, monkey
         assert np.array_equal(bound_sdp.objective, problem.constraints[0])
 
 
+def _reference_compile(target, system, level, blocks):
+    """The constraint matrix and right-hand side as a dict-of-tuples triple
+    loop over Gram pairs and generator terms writes them."""
+    rows = monomial_basis(system.dimension, level).monomials
+    row_of = {alpha: i for i, alpha in enumerate(rows)}
+    sizes = [len(b.basis) for b in blocks]
+    constraints = np.zeros((len(rows), sum(s * (s + 1) // 2 for s in sizes)))
+    col = 0
+    for block in blocks:
+        monos = block.basis.monomials
+        for r in range(len(monos)):
+            for s in range(r, len(monos)):
+                weight = 1.0 if r == s else np.sqrt(2.0)
+                for alpha, coef in block.generator.terms():
+                    gamma = tuple(a + b + c for a, b, c in zip(monos[r], monos[s], alpha))
+                    constraints[row_of[gamma], col] = coef * weight
+                col += 1
+    return constraints, np.array([target.coefficient(alpha) for alpha in rows])
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "n, level, mode",
+    [(1, 7, QUADRATIC_MODULE), (1, 6, PREORDERING), (2, 6, QUADRATIC_MODULE),
+     (2, 5, PREORDERING), (3, 4, QUADRATIC_MODULE), (3, 4, PREORDERING),
+     (4, 4, QUADRATIC_MODULE), (4, 3, PREORDERING),
+     (40, 2, QUADRATIC_MODULE)],  # keys past int64: 3^41 > 2^63
+)
+def test_compile_is_bit_identical_to_the_reference_loop(n, level, mode, monkeypatch):
+    from poslab.sos import _compile, _generator_blocks
+
+    rng = np.random.default_rng(n * 100 + level)
+    system = SemialgebraicSystem(n, tuple(
+        random_positive_degree_polynomial(rng, n, 3, max_terms=5) for _ in range(2)
+    ))
+    target = random_positive_degree_polynomial(rng, n, level, max_terms=8)
+    blocks = _generator_blocks(system, level, mode)
+    constraints, rhs = _reference_compile(target, system, level, blocks)
+    problem = _compile(target, system, level, blocks)
+    assert problem.constraints.tobytes() == constraints.tobytes()
+    assert problem.rhs.tobytes() == rhs.tobytes()
+    if mode == QUADRATIC_MODULE:
+        # the bound form: the constant row split off as the objective
+        def capture(problem, *args):
+            raise _Captured(problem)
+
+        monkeypatch.setattr(sdp, "solve", capture)
+        with pytest.raises(_Captured) as caught:
+            lasserre_bound(target, system, level)
+        bound_sdp = caught.value.args[0]
+        assert bound_sdp.constraints.tobytes() == constraints[1:].tobytes()
+        assert bound_sdp.rhs.tobytes() == rhs[1:].tobytes()
+        assert bound_sdp.objective.tobytes() == constraints[0].tobytes()
+
+
+def test_packed_keys_increase_in_graded_lex_order_and_add():
+    from poslab.poly import key_monomials, monomial_keys
+
+    for n, level in ((1, 5), (3, 4), (5, 3), (40, 2)):
+        monos = monomial_basis(n, level).monomials
+        keys = monomial_keys(monos, n, level)
+        assert np.all(np.diff(keys) > 0)
+        assert key_monomials(keys, n, level) == list(monos)
+        low = [alpha for alpha in monos if 2 * sum(alpha) <= level]
+        low_keys = monomial_keys(low, n, level)
+        sums = [tuple(a + b for a, b in zip(x, y)) for x in low for y in low]
+        assert np.array_equal(
+            (low_keys[:, None] + low_keys).ravel(), monomial_keys(sums, n, level)
+        )
+
+
 def test_bound_sdp_has_one_block_per_generator(monkeypatch):
     f = P("x1^3 - x1")
     system = interval_system()
