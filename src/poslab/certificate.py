@@ -10,16 +10,19 @@ Verification is independent of how a certificate was found: reconstruct the
 right-hand side from the certificate alone (float sums per packed monomial
 key, see ``reconstruct``), measure the residual against f in the weighted
 coefficient norm (``Polynomial`` subtraction prunes |c| <= 1e-14), and check
-the Gram spectra.  A certificate
-passes at residual <= ``DEFAULT_RESIDUAL_TOL`` and Gram eigenvalues >=
--``DEFAULT_PSD_TOL``; both are module constants that no caller can loosen.
+the Gram spectra.  A certificate passes at residual <= ``DEFAULT_RESIDUAL_TOL``
+and Gram eigenvalues >= -``DEFAULT_PSD_TOL``; both are module constants that
+no caller can loosen.  Certificates from ``sos`` carry the solver's projected
+Gram blocks unchanged (PSD up to eigendecomposition rounding); ``verify``
+alone enforces the eigenvalue floor, and ``round_psd`` serves
+``extract_squares`` and loaded files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .poly import (
     parse_polynomial,
     weighted_norm,
 )
-from .problemio import json_int, load_json
+from .problemio import json_int, json_list, json_number, json_str, load_json
 from .semialg import SemialgebraicSystem
 
 QUADRATIC_MODULE = "quadratic_module"
@@ -96,7 +99,7 @@ class CertificateEntry:
                     f"basis monomial {list(alpha)} is not an exponent vector of "
                     f"length {n} with entries >= 0 and degree <= {top}"
                 )
-        object.__setattr__(self, "gram", 0.5 * (g + g.T))
+        object.__setattr__(self, "gram", 0.5 * g + 0.5 * g.T)  # g + g.T may overflow
 
     def min_eigenvalue(self) -> float:
         if self.gram.shape[0] == 0:
@@ -109,25 +112,24 @@ class Certificate:
     mode: str
     system: SemialgebraicSystem
     entries: tuple[CertificateEntry, ...]
+    # each entry's generator, built once from its index (validated here)
+    generators: tuple[Polynomial, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in (QUADRATIC_MODULE, PREORDERING):
             raise InputError(f"unknown certificate mode {self.mode!r}")
         object.__setattr__(self, "entries", tuple(self.entries))
-        for e in self.entries:
-            self.generator(e)  # validates the index against the system
-
-    def generator(self, entry: CertificateEntry) -> Polynomial:
-        """The generator polynomial this entry multiplies."""
-        return generator_polynomial(self.system, self.mode, entry.index)
+        object.__setattr__(self, "generators", tuple(
+            generator_polynomial(self.system, self.mode, e.index) for e in self.entries
+        ))
 
     @property
     def level(self) -> int:
         """Largest degree of any summand sigma * generator."""
-        level = 0
-        for e in self.entries:
-            level = max(level, 2 * e.basis.max_degree + self.generator(e).degree)
-        return level
+        return max([0] + [
+            2 * e.basis.max_degree + g.degree
+            for e, g in zip(self.entries, self.generators)
+        ])
 
 
 @dataclass(frozen=True)
@@ -152,17 +154,18 @@ def reconstruct(cert: Certificate) -> Polynomial:
     Q[r, s] of each upper-triangle Gram pair (doubled off the diagonal) times
     each generator coefficient is summed on the packed key of z_r z_s x^alpha
     (``poly.gram_product_keys``), in float arithmetic, in entry, pair and
-    term order; no sum is pruned."""
-    n, gens = cert.system.dimension, [cert.generator(e) for e in cert.entries]
-    top = max([0] + [2 * e.basis.max_degree + g.degree for e, g in zip(cert.entries, gens)])
+    term order; no sum is pruned.  A sum past the float range is +-inf (NaN
+    where two such cancel), without a warning; it fails ``verify``."""
+    n, top = cert.system.dimension, cert.level
     keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for entry, gen in zip(cert.entries, gens):
-        r, s, entry_keys, coefs = gram_product_keys(entry.basis, gen, top)
-        keys.append(entry_keys.ravel())
-        q = np.where(r == s, 1.0, 2.0) * entry.gram[r, s]
-        values.append(np.outer(q, coefs).ravel())
-    unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    sums = np.bincount(inverse, weights=np.concatenate(values), minlength=unique.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for entry, gen in zip(cert.entries, cert.generators):
+            r, s, entry_keys, coefs = gram_product_keys(entry.basis, gen, top)
+            keys.append(entry_keys.ravel())
+            q = np.where(r == s, 1.0, 2.0) * entry.gram[r, s]
+            values.append(np.outer(q, coefs).ravel())
+        unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        sums = np.bincount(inverse, weights=np.concatenate(values), minlength=unique.size)
     return Polynomial(n, dict(zip(key_monomials(unique, n, top), sums)))
 
 
@@ -178,9 +181,7 @@ def verify(cert: Certificate, f: Polynomial) -> VerificationReport:
             f"{cert.system.dimension}"
         )
     residual = weighted_norm(f - reconstruct(cert))
-    min_eig = 0.0
-    for entry in cert.entries:
-        min_eig = min(min_eig, entry.min_eigenvalue())
+    min_eig = min([0.0] + [entry.min_eigenvalue() for entry in cert.entries])
     return VerificationReport(
         residual_norm=residual,
         min_gram_eigenvalue=min_eig,
@@ -276,7 +277,7 @@ def extract_squares(cert: Certificate) -> list[tuple[Polynomial, list[Polynomial
     Returns one (generator, [p_j, ...]) pair per entry.
     """
     out: list[tuple[Polynomial, list[Polynomial]]] = []
-    for entry in cert.entries:
+    for entry, gen in zip(cert.entries, cert.generators):
         w, v = np.linalg.eigh(round_psd(entry.gram))
         squares: list[Polynomial] = []
         for j in range(w.size - 1, -1, -1):  # largest eigenvalue first
@@ -285,7 +286,7 @@ def extract_squares(cert: Certificate) -> list[tuple[Polynomial, list[Polynomial
                 p = Polynomial(entry.basis.dimension, dict(terms))
                 if not p.is_zero:
                     squares.append(p)
-        out.append((cert.generator(entry), squares))
+        out.append((gen, squares))
     return out
 
 
@@ -327,17 +328,23 @@ def certificate_from_dict(data: dict) -> Certificate:
     try:
         mode = data["mode"]
         n = json_int(data["n"], '"n"')
-        generators = [parse_polynomial(s, n) for s in data["generators"]]
+        generators = [
+            parse_polynomial(json_str(s, "a generator"), n)
+            for s in json_list(data["generators"], '"generators"')
+        ]
         system = SemialgebraicSystem(n, tuple(generators))
         entries = []
-        for rec in data["entries"]:
+        for rec in json_list(data["entries"], '"entries"'):
             monos = tuple(
                 tuple(json_int(a, "a basis exponent") for a in alpha)
-                for alpha in rec["basis"]
+                for alpha in json_list(rec["basis"], '"basis"')
             )
             max_degree = max((sum(a) for a in monos), default=0)
             basis = MonomialBasis(dimension=n, max_degree=max_degree, monomials=monos)
-            gram = np.asarray(rec["gram"], dtype=float)
+            gram = np.array([
+                [json_number(x, "a Gram entry") for x in json_list(row, "a Gram row")]
+                for row in json_list(rec["gram"], '"gram"')
+            ], dtype=float)
             if "index" in rec:
                 index: int | tuple[int, ...] = json_int(rec["index"], '"index"')
             elif "delta" in rec:

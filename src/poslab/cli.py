@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -34,17 +35,9 @@ from .certificate import (
     verify,
     verify_disproof,
 )
-from .errors import (
-    CapacityError,
-    DegenerateFitError,
-    InfeasibleAtResolutionError,
-    InputError,
-    ParseError,
-    PoslabError,
-    SolverError,
-)
+from .errors import InfeasibleAtResolutionError, InputError, PoslabError, SolverError
 from .poly import weighted_norm
-from .problemio import ProblemDocument, load_json, load_problem
+from .problemio import ProblemDocument, json_list, json_number, load_json, load_problem
 from .semialg import (
     DEFAULT_FEASIBILITY_TOL,
     feasible_extent,
@@ -75,6 +68,12 @@ def _emit_json(payload: dict, path: str | None) -> None:
 def _json_float(value: float) -> float | None:
     """JSON has no infinities; map them to null (callers add a flag)."""
     return value if math.isfinite(value) else None
+
+
+def _report_fields(report) -> dict:
+    """A verification or disproof report's fields, nonfinite floats as null."""
+    return {k: _json_float(v) if isinstance(v, float) else v
+            for k, v in report.to_dict().items()}
 
 
 def _level(token: str) -> int:
@@ -117,7 +116,7 @@ def _result_fields(result: sos.LasserreResult | sos.MembershipResult) -> dict:
             certificate_to_dict(result.certificate) if result.certificate else None
         ),
         "verification": (
-            result.verification.to_dict() if result.verification else None
+            _report_fields(result.verification) if result.verification else None
         ),
         "solver": result.solver,
     }
@@ -172,14 +171,8 @@ def _disproof_point(path: str) -> list[float]:
     ``certify`` output."""
     data = load_json(path, "disproof")
     point = data.get("point") if isinstance(data, dict) else None
-    if not isinstance(point, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in point
-    ):
-        raise ParseError('malformed disproof: "point" must be a list of numbers')
-    try:
-        return [float(v) for v in point]
-    except OverflowError:
-        raise ParseError("malformed disproof: a coordinate is beyond the float range")
+    return [json_number(v, "malformed disproof: a coordinate")
+            for v in json_list(point, 'malformed disproof: "point"')]
 
 
 def cmd_verify(args) -> int:
@@ -189,8 +182,7 @@ def cmd_verify(args) -> int:
         report = verify_disproof(
             problem.objective, problem.system, _disproof_point(args.disproof)
         )
-        fields = dict(report.to_dict(), value=_json_float(report.value))
-        _emit_json({"command": "verify", "disproof": fields}, args.output)
+        _emit_json({"command": "verify", "disproof": _report_fields(report)}, args.output)
         return EXIT_OK if report.passed else EXIT_VERIFICATION
     cert = certificate_from_dict(load_json(args.certificate, "certificate"))
     if cert.system != problem.system:
@@ -198,7 +190,7 @@ def cmd_verify(args) -> int:
             "certificate generators do not match the problem constraints"
         )
     report = verify(cert, problem.objective)
-    payload = {"command": "verify", "report": report.to_dict()}
+    payload = {"command": "verify", "report": _report_fields(report)}
     _emit_json(payload, args.output)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
@@ -277,16 +269,8 @@ def cmd_bounds(args) -> int:
         inside = bool(mask.any() and feasible_extent(axes, mask) < 1.0)
         assumptions = {"feasible_grid_inside_unit_box": inside}
     else:
-        missing = [
-            name
-            for name, val in (
-                ("--d", args.d),
-                ("--n", args.n),
-                ("--norm-f", args.norm_f),
-                ("--f-star", args.f_star),
-            )
-            if val is None
-        ]
+        flags = {"--d": args.d, "--n": args.n, "--norm-f": args.norm_f, "--f-star": args.f_star}
+        missing = [name for name, val in flags.items() if val is None]
         if missing:
             raise InputError(
                 "without --input, bounds requires " + ", ".join(missing)
@@ -298,14 +282,7 @@ def cmd_bounds(args) -> int:
     putinar = bounds_mod.putinar_degree_bound(inputs)
     payload: dict = {
         "command": "bounds",
-        "inputs": {
-            "c": inputs.c,
-            "d": inputs.d,
-            "n": inputs.n,
-            "norm_f": inputs.norm_f,
-            "f_star": inputs.f_star,
-            "k": inputs.k,
-        },
+        "inputs": dataclasses.asdict(inputs),
         "schmuedgen_degree_bound": _json_float(
             bounds_mod.schmuedgen_degree_bound(inputs)
         ),
@@ -485,16 +462,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, InputError, CapacityError, DegenerateFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InfeasibleAtResolutionError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except PoslabError as exc:  # rounding and other package errors
+    except PoslabError as exc:  # input, capacity, rounding and fit errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

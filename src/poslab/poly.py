@@ -234,6 +234,8 @@ class Polynomial:
         ``axis ** a`` is computed on the axis values only, and a term's
         factors are multiplied left to right by broadcasting, so every value
         goes through the same floating-point operations in the same order.
+        A value past the float range is +-inf, without a warning (the grid
+        oracles judge it); InputError where such values cancel (a NaN).
         """
         axes = [np.asarray(axis, dtype=float) for axis in axes]
         if len(axes) != self.dimension or any(axis.ndim != 1 for axis in axes):
@@ -248,7 +250,13 @@ class Polynomial:
             shape_i = [-1 if j == i else 1 for j in range(len(shape))]
             return (axes[i] ** a).reshape(shape_i)
 
-        return self._sum_terms(power, shape).reshape(-1)
+        try:
+            with np.errstate(over="ignore", invalid="raise"):
+                return self._sum_terms(power, shape).reshape(-1)
+        except FloatingPointError:
+            raise InputError(
+                f"{self} is NaN on the grid: terms past the float range cancel"
+            ) from None
 
     def _sum_terms(self, power, shape: tuple[int, ...]) -> np.ndarray:
         """sum over the terms, in graded lex order, of the coefficient times
@@ -403,10 +411,9 @@ def gram_product_keys(
 
 def weighted_norm(f: Polynomial) -> float:
     """max over terms of |coefficient| / multinomial(|alpha|, alpha); 0 for f = 0."""
-    best = 0.0
-    for alpha, coef in f._terms.items():
-        best = max(best, abs(coef) / multinomial(alpha))
-    return best
+    # np.max, unlike max, keeps a NaN coefficient: its norm is NaN
+    ratios = [abs(coef) / multinomial(alpha) for alpha, coef in f._terms.items()]
+    return float(np.max(ratios, initial=0.0))
 
 
 def sup_bound(f: Polynomial) -> float:
@@ -511,6 +518,8 @@ def parse_polynomial(text: str, dimension: int | None = None) -> Polynomial:
                     coef *= float(factor)
                 except ValueError:
                     raise ParseError(f"cannot parse factor {factor!r}") from None
+        if not math.isfinite(coef):  # inf, nan, 1e400 or 1e200*1e200
+            raise ParseError(f"term {body!r} has a coefficient that is not finite: {coef}")
         raw_terms.append((coef, exps))
     n = dimension if dimension is not None else max(max_index, 1)
     if n < max_index:
@@ -521,6 +530,8 @@ def parse_polynomial(text: str, dimension: int | None = None) -> Polynomial:
     for coef, exps in raw_terms:
         alpha = tuple(exps.get(i, 0) for i in range(n))
         terms[alpha] = terms.get(alpha, 0.0) + coef
+        if not math.isfinite(terms[alpha]):
+            raise ParseError(f"terms of exponent {list(alpha)} sum to {terms[alpha]}")
     return Polynomial(n, {a: c for a, c in terms.items() if c != 0.0})
 
 

@@ -20,6 +20,7 @@ feasibility tolerance (``DEFAULT_FEASIBILITY_TOL``) are fixed.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -57,6 +58,29 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number (not a bool, not
+    Python's NaN or Infinity), else ParseError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # exact for ints; False for NaN
+            return float(value)
+    raise ParseError(f"{what} must be a finite number, got {value!r}")
+
+
+def json_list(value, what: str) -> list:
+    """``value`` if it is a JSON list, else ParseError."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_str(value, what: str) -> str:
+    """``value`` if it is a JSON string, else ParseError."""
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def problem_from_dict(data: dict) -> ProblemDocument:
     unknown = sorted(set(data) - set(_KEYS))
     if unknown:
@@ -67,9 +91,7 @@ def problem_from_dict(data: dict) -> ProblemDocument:
     try:
         n = json_int(data["n"], '"n"')
         objective = parse_polynomial(str(data["objective"]), n)
-        raw_constraints = data.get("constraints", [])
-        if not isinstance(raw_constraints, list):
-            raise ParseError(f'"constraints" must be a list, got {raw_constraints!r}')
+        raw_constraints = json_list(data.get("constraints", []), '"constraints"')
         constraints = tuple(parse_polynomial(str(s), n) for s in raw_constraints)
         raw_box = data.get("box")
         if raw_box is None:
@@ -101,7 +123,7 @@ def load_json(path: str, what: str):
         raise ParseError(f"{what} file not found: {path}") from exc
     except OSError as exc:
         raise ParseError(f"{what} file cannot be read: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an int past the digit limit
         raise ParseError(f"{what} file is not valid JSON: {exc}") from exc
 
 

@@ -188,13 +188,11 @@ def feasible_extent(axes: tuple[np.ndarray, ...], mask: np.ndarray) -> float:
 
 def _best_on_grid(
     values: np.ndarray, mask: np.ndarray, shape: tuple[int, ...]
-) -> tuple[float, tuple[int, ...]] | None:
-    """Minimum over masked entries; exact-value ties resolved by the graded
-    order (sum of index coordinates, then the index tuple, which orders as
-    the flat index does)."""
+) -> tuple[float, tuple[int, ...]]:
+    """Minimum over masked entries (``mask`` flags at least one); exact-value
+    ties resolved by the graded order (sum of index coordinates, then the
+    index tuple, which orders as the flat index does)."""
     idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return None
     vals = values[idx]
     vmin = float(vals.min())
     ties = idx[vals == vmin]  # ascending, so argmin keeps the least index tuple
@@ -217,9 +215,11 @@ def grid_min(
 
     Raises InfeasibleAtResolutionError when the initial sweep finds no
     feasible point; that outcome says nothing about the set being empty.
-    Refinement never loses the incumbent, so the reported minimum is
-    monotone in the number of rounds.  ``feasible_count`` totals the
-    feasible grid points seen across all rounds.
+    Raises InputError when the minimum over a round's feasible points is
+    not finite (f overflows the float range there).  Refinement never loses
+    the incumbent, so the reported minimum is monotone in the number of
+    rounds.  ``feasible_count`` totals the feasible grid points seen across
+    all rounds.
     """
     if f.dimension != system.dimension:
         raise DimensionMismatchError(
@@ -240,21 +240,22 @@ def grid_min(
         axes = grid_axes(box, ppa)
         mask = grid_feasible_mask(system, axes, feasibility_tol)
         feasible_count += int(mask.sum())
-        if best_point is None and not mask.any():
+        if mask.any():
+            vmin, multi = _best_on_grid(f.evaluate_grid(axes), mask, shape)
+            if not math.isfinite(vmin):
+                raise InputError(
+                    f"the objective's minimum over the feasible grid points is "
+                    f"{vmin}: it overflows the float range on the box"
+                )
+            if vmin < best_value:
+                best_value = vmin
+                best_point = tuple(float(axes[i][multi[i]]) for i in range(len(axes)))
+        elif best_point is None:
             raise InfeasibleAtResolutionError(
                 f"no feasible grid point at {ppa} points per axis "
                 "(not a proof of emptiness)"
             )
-        if mask.any():
-            values = f.evaluate_grid(axes)
-            found = _best_on_grid(values, mask, shape)
-            if found is not None:
-                vmin, multi = found
-                if vmin < best_value:
-                    best_value = vmin
-                    best_point = tuple(float(axes[i][multi[i]]) for i in range(len(axes)))
         # shrink around the incumbent, clipped to the original box
-        assert best_point is not None
         new_box = []
         for i, (lo, hi) in enumerate(box):
             width = (hi - lo) * (2.0 / ppa)
@@ -266,7 +267,6 @@ def grid_min(
             new_box.append((nlo, nhi))
         box = tuple(new_box)
 
-    assert best_point is not None
     return MinimizationResult(
         minimum_value=best_value,
         argmin=best_point,

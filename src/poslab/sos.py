@@ -21,7 +21,9 @@ the bound is f_0 minus the optimal value.  The free scalar needs no block.
 
 Either way the solver's answer counts only when ``certificate.verify``
 passes its Gram certificate, at that module's fixed thresholds (residual
-<= ``DEFAULT_RESIDUAL_TOL``); no parameter here changes them.
+<= ``DEFAULT_RESIDUAL_TOL``); no parameter here changes them.  The
+certificate holds the solver's Gram blocks as its cone projection left
+them, unchanged: they are checked, not repaired.
 
 Failure at level k never disproves membership in the untruncated cone, so
 a not-found outcome is inconclusive, with one exception: a disproof, a point
@@ -59,7 +61,6 @@ from .certificate import (
     DisproofReport,
     VerificationReport,
     generator_polynomial,
-    round_psd,
     verify,
     verify_disproof,
 )
@@ -201,23 +202,6 @@ def _compile(
     return sdp.SdpProblem(block_sizes, constraints, rhs)
 
 
-def _certificate_from_blocks(
-    mode: str,
-    system: SemialgebraicSystem,
-    blocks: list[_Block],
-    grams: tuple[np.ndarray, ...],
-) -> Certificate:
-    entries = tuple(
-        CertificateEntry(
-            index=block.label,
-            basis=block.basis,
-            gram=round_psd(grams[j]),
-        )
-        for j, block in enumerate(blocks)
-    )
-    return Certificate(mode=mode, system=system, entries=entries)
-
-
 def _disproof_witness(target: Polynomial, system: SemialgebraicSystem, level: int):
     """The solver's witness predicate for a level-``level`` membership SDP:
     the exact disproof at the first moments of a Farkas candidate y, or
@@ -283,9 +267,10 @@ def _membership_search(problem: MembershipProblem) -> MembershipResult:
         )
 
     if solution.ok:
-        cert = _certificate_from_blocks(
-            problem.mode, system, blocks, solution.block_values
-        )
+        cert = Certificate(problem.mode, system, tuple(
+            CertificateEntry(b.label, b.basis, q)
+            for b, q in zip(blocks, solution.block_values)
+        ))
         report = verify(cert, target)
         reason = "" if report.passed else (
             f"solver output failed independent verification "
@@ -424,9 +409,10 @@ def lasserre_bound(
 
     if solution.ok:
         bound = f.coefficient((0,) * f.dimension) - solution.objective_value
-        cert = _certificate_from_blocks(
-            QUADRATIC_MODULE, system, blocks, solution.block_values
-        )
+        cert = Certificate(QUADRATIC_MODULE, system, tuple(
+            CertificateEntry(b.label, b.basis, q)
+            for b, q in zip(blocks, solution.block_values)
+        ))
         shifted = f - Polynomial.constant(f.dimension, bound)
         report = verify(cert, shifted)
         if report.passed:

@@ -1,5 +1,7 @@
 """Certificate reconstruction, verification, rounding, square extraction."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from poslab import (
     verify_disproof,
     weighted_norm,
 )
+from poslab.certificate import generator_polynomial
 from poslab.semialg import feasible_mask, grid_points
 
 P = parse_polynomial
@@ -99,10 +102,12 @@ def _sos_part(entry):
 
 
 def _reference_reconstruct(cert):
-    """sum_i sigma_i * generator_i in ``Polynomial`` arithmetic."""
+    """sum_i sigma_i * generator_i in ``Polynomial`` arithmetic, each
+    generator built from its index, not read from the certificate."""
     total = Polynomial.zero(cert.system.dimension)
     for entry in cert.entries:
-        total = total + _sos_part(entry) * cert.generator(entry)
+        gen = generator_polynomial(cert.system, cert.mode, entry.index)
+        total = total + _sos_part(entry) * gen
     return total
 
 
@@ -127,6 +132,35 @@ def test_reconstruct_matches_polynomial_arithmetic(mode, n, level):
         reference = _reference_reconstruct(cert)
         difference = weighted_norm(reconstruct(cert) - reference)
         assert difference <= 1e-15 * weighted_norm(reference)
+
+
+@pytest.mark.parametrize("mode", [QUADRATIC_MODULE, PREORDERING])
+def test_a_built_certificate_builds_no_generator_again(mode, monkeypatch):
+    from poslab import certificate
+    from poslab.sos import _generator_blocks
+
+    system = SemialgebraicSystem(2, (P("1 - x1^2", 2), P("1 - x2^2", 2), P("x1 + x2", 2)))
+    rng = np.random.default_rng(3)
+    entries = []
+    for block in _generator_blocks(system, 4, mode):
+        raw = rng.normal(size=(len(block.basis), len(block.basis)))
+        entries.append(CertificateEntry(block.label, block.basis, raw @ raw.T))
+    cert = Certificate(mode, system, tuple(entries))
+    assert cert.generators == tuple(
+        generator_polynomial(system, mode, e.index) for e in cert.entries
+    )
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return generator_polynomial(*args)
+
+    monkeypatch.setattr(certificate, "generator_polynomial", counted)
+    target = reconstruct(cert)
+    assert verify(cert, target).passed
+    assert cert.level == 4
+    assert len(extract_squares(cert)) == len(cert.entries)
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +408,12 @@ def test_certificate_file_round_trip(tmp_path):
         (b"not json {", "certificate file is not valid JSON"),
         (b"\xff\xfe{", "certificate file is not valid JSON"),  # not UTF-8
         ("directory", "certificate file cannot be read"),
+        pytest.param(  # json reads it, then int() refuses it
+            b"[" + b"1" * 5000 + b"]", "certificate file is not valid JSON",
+            marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="no digit limit"),
+        ),
     ],
-    ids=["missing", "not-json", "not-utf8", "directory"],
+    ids=["missing", "not-json", "not-utf8", "directory", "int-past-digit-limit"],
 )
 def test_load_certificate_unreadable_file_is_a_parse_error(tmp_path, content, message):
     from poslab import ParseError, load_certificate, load_problem

@@ -920,3 +920,173 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     assert proc.stdout.startswith(b"usage: poslab")
     assert b"certify" in proc.stdout
+
+
+# ----------------------------------------------------------------------
+# numbers from outside are read as written
+
+
+def _strict_json(text):
+    """The JSON document ``text``; NaN and Infinity, which Python writes
+    but JSON has not, are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "objective, term",
+    [("nan*x1 + 2", "'nan*x1'"), ("inf + x1", "'inf'"), ("1e400*x1 + 2", "'1e400*x1'"),
+     ("1e200*1e200*x1 + 1", "'1e200*1e200*x1'"), ("x1 - Infinity", "'Infinity'")],
+)
+def test_a_coefficient_that_is_not_finite_is_an_input_error(
+    tmp_path, capsys, objective, term
+):
+    path = write_problem(tmp_path / "p.json", 1, objective, ["1 - x1^2"])
+    out = tmp_path / "out.json"
+    for argv in (["solve", "--level", "2"], ["certify", "--level", "2"], ["bounds"],
+                 ["lift"], ["converge", "--levels", "2"]):
+        assert main(argv + ["--input", path, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and term in err and "not finite" in err
+        assert not out.exists()
+
+
+_PLAIN_PROBLEM = {"n": 1, "objective": "1", "constraints": ["1"]}
+_PLAIN_CERT = {
+    "mode": "quadratic_module", "n": 1, "generators": ["1"],
+    "entries": [{"index": 0, "basis": [[0]], "gram": [[1.0]]}],
+}
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda c: c.update(generators="1"), '"generators" must be a list'),
+        (lambda c: c.update(generators=[1]), "a generator must be a string"),
+        (lambda c: c.update(generators=["inf"]), "not finite"),
+        (lambda c: c.update(entries={"0": c["entries"][0]}), '"entries" must be a list'),
+        (lambda c: c["entries"][0].update(basis="0"), '"basis" must be a list'),
+        (lambda c: c["entries"][0].update(gram="1"), '"gram" must be a list'),
+        (lambda c: c["entries"][0].update(gram=[1.0]), "a Gram row must be a list"),
+        (lambda c: c["entries"][0].update(gram=[[True]]), "a Gram entry must be a finite"),
+        (lambda c: c["entries"][0].update(gram=[["1.0"]]), "a Gram entry must be a finite"),
+        (lambda c: c["entries"][0].update(gram=[[math.inf]]), "a Gram entry must be a finite"),
+        (lambda c: c["entries"][0].update(gram=[[math.nan]]), "a Gram entry must be a finite"),
+    ],
+    ids=["generators-string", "generator-number", "generator-inf", "entries-object",
+         "basis-string", "gram-string", "gram-row-number", "entry-bool", "entry-string",
+         "entry-infinity", "entry-nan"],
+)
+def test_verify_reads_only_lists_and_finite_numbers_where_written(
+    tmp_path, capsys, edit, named
+):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(_PLAIN_PROBLEM))
+    cert = json.loads(json.dumps(_PLAIN_CERT))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    argv = ["verify", "--input", str(problem), "--certificate", str(cert_path)]
+    assert main(argv) == 0  # the unedited certificate verifies
+    capsys.readouterr()
+    edit(cert)
+    cert_path.write_text(json.dumps(cert))  # Python's json writes NaN and Infinity
+    out = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+def test_a_reconstruction_that_overflows_fails_verification(tmp_path, capsys):
+    # 2 * 1e308 is past the float range: the x1 coefficient is +inf
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(_PLAIN_PROBLEM))
+    cert = dict(_PLAIN_CERT, entries=[
+        {"index": 0, "basis": [[0], [1]], "gram": [[1e308, 1e308], [1e308, 1e308]]},
+    ])
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    out = tmp_path / "out.json"
+    assert main(["verify", "--input", str(problem), "--certificate", str(cert_path),
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    report = _strict_json(out.read_text())["report"]
+    assert report["pass"] is False
+    assert report["residual_norm"] is None
+
+
+# the objective is +inf at every grid point of the box
+_OVERFLOWING = {"n": 1, "objective": "x1^2", "constraints": [], "box": [[1e200, 1e201]]}
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [({}, "minimum over the feasible grid"),
+     # inf - inf: x1^3 - x1^2 > 0 on the box, but both powers overflow
+     ({"objective": "x1", "constraints": ["x1^3 - x1^2"]}, "is NaN on the grid")],
+    ids=["objective-inf", "constraint-nan"],
+)
+def test_a_grid_value_past_the_float_range_is_an_input_error(tmp_path, capsys, edit, named):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(_OVERFLOWING, **edit)))
+    out = tmp_path / "out.json"
+    for argv in (["bounds"], ["lift"], ["lift", "--lambda", "1"],
+                 ["converge", "--levels", "2"]):
+        assert main(argv + ["--input", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
+
+
+def test_a_constraint_that_overflows_on_the_grid_writes_no_warning(tmp_path, capsys):
+    # x1^2 - 1e300 overflows to +inf on the box: every grid point is feasible
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(_OVERFLOWING, objective="x1",
+                                    constraints=["x1^2 - 1e300"])))
+    out = tmp_path / "out.json"
+    assert main(["bounds", "--input", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["inputs"]["f_star"] == 1e200
+
+
+# ----------------------------------------------------------------------
+# exit codes
+
+
+_EXIT_TABLE = [  # the table of the cli module docstring, by error class
+    ("PoslabError", 1, "error:"),
+    ("InputError", 1, "error:"),
+    ("DimensionMismatchError", 1, "error:"),
+    ("ParseError", 1, "error:"),
+    ("CapacityError", 1, "error:"),
+    ("RoundingError", 1, "error:"),
+    ("DegenerateFitError", 1, "error:"),
+    ("InfeasibleAtResolutionError", 2, "inconclusive:"),
+    ("SolverError", 4, "solver failure:"),
+]
+
+
+def test_the_exit_table_names_every_error_class():
+    from poslab import errors
+
+    def subclasses(cls):
+        return {cls.__name__}.union(*(subclasses(c) for c in cls.__subclasses__()))
+
+    assert subclasses(errors.PoslabError) == {name for name, _, _ in _EXIT_TABLE}
+
+
+@pytest.mark.parametrize("name, code, prefix", _EXIT_TABLE)
+def test_each_error_class_exits_with_its_code(
+    name, code, prefix, interval_problem, monkeypatch, capsys
+):
+    from poslab import cli as cli_mod
+    from poslab import errors
+
+    def boom(*args, **kwargs):
+        raise getattr(errors, name)("forced")
+
+    monkeypatch.setattr(cli_mod.sos, "lasserre_bound", boom)
+    assert main(["solve", "--input", interval_problem, "--level", "2"]) == code
+    assert capsys.readouterr().err == f"{prefix} forced\n"

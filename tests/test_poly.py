@@ -1,6 +1,7 @@
 """Polynomial arithmetic, the weighted norm, and its analytic bound lemmas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ def test_evaluate_grid_bit_identical_to_evaluate_many_on_the_grid_points(n):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_evaluate_grid_overflows_to_inf_without_a_warning():
+    # pyproject turns a RuntimeWarning into an error
+    assert P("x1^2").evaluate_grid([np.array([-1e200])])[0] == math.inf
+    assert P("x1^2 - x1^3").evaluate_grid([np.array([1e103])])[0] == -math.inf
+    # inf - inf has no value: NaN is refused
+    with pytest.raises(InputError, match="is NaN on the grid"):
+        P("x1^2 - x1^3").evaluate_grid([np.array([1.0, 1e200])])
+
+
 def test_evaluate_grid_checks_its_axes():
     f = P("x1 + x2")
     with pytest.raises(DimensionMismatchError):
@@ -201,6 +211,12 @@ def test_weighted_norm_enumerated():
 
 def test_weighted_norm_six_xyz():
     assert weighted_norm(P("6*x1*x2*x3")) == 1.0
+
+
+def test_weighted_norm_of_a_nan_coefficient_is_nan():
+    # a residual with a NaN coefficient must not pass for a small one
+    for terms in ({(0,): 1.0, (1,): math.nan}, {(0,): math.nan, (1,): 1.0}):
+        assert math.isnan(weighted_norm(Polynomial(1, terms)))
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +324,18 @@ def test_parse_rejects_garbage():
             P(bad)
     with pytest.raises(ParseError):
         P("x3", 2)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("nan*x1 + 2", "'nan*x1'"), ("inf + x1", "'inf'"), ("Infinity", "'Infinity'"),
+     ("1e400*x1", "'1e400*x1'"), ("1e200*1e200", "'1e200*1e200'"),
+     ("0*inf", "'0*inf'"), ("1e308*x1 + 1e308*x1", "exponent [1] sum to inf")],
+)
+def test_parse_refuses_coefficients_that_are_not_finite(text, named):
+    with pytest.raises(ParseError, match=re.escape(named)):
+        P(text)
+    assert P("1e-400*x1 + 1e308").coefficient((0,)) == 1e308  # an underflow is 0
 
 
 def test_format_parse_roundtrip_random():

@@ -819,3 +819,55 @@ def test_positive_minimum_membership_at_low_level():
                 found_level = level
                 break
         assert found_level is not None
+
+
+# ----------------------------------------------------------------------
+# certificates as solved
+
+
+def _sparse_square_sum():
+    first, second = (Polynomial(2, t) for t in SPARSE_SQUARE_SUMS["iteration-cap"])
+    return first * first + second * second
+
+
+_QUADRANT = SemialgebraicSystem(2, (P("x1", 2), P("x2", 2)))
+SOLVED = {
+    "bound-interval": (lasserre_bound, P("x1"), interval_system(), 2, QUADRATIC_MODULE),
+    "bound-box": (lasserre_bound, P("x1*x2 + x1", 2), box_system(2), 4, QUADRATIC_MODULE),
+    "qm-interval": (module_membership, P("2 + x1"), interval_system(), 4, QUADRATIC_MODULE),
+    "qm-dense-sos": (module_membership, DENSE_RANK_TWO, SemialgebraicSystem(3, ()), 4,
+                     QUADRATIC_MODULE),
+    # the presolve fixes two basis monomials: their rows and columns are padded zeros
+    "qm-sparse-sos": (module_membership, _sparse_square_sum(), SemialgebraicSystem(2, ()),
+                      4, QUADRATIC_MODULE),
+    "po-interval": (preordering_membership, P("2 + x1"), interval_system(), 2, PREORDERING),
+    "po-quadrant": (preordering_membership, P("x1*x2"), _QUADRANT, 2, PREORDERING),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED))
+def test_certificates_hold_the_solver_blocks_bit_for_bit(name, monkeypatch):
+    # a certificate is the cone projection's output as it is: nothing
+    # re-projects or repairs it between the solver and verify
+    search, target, system, level, mode = SOLVED[name]
+    solutions = []
+    solve = sdp.solve
+
+    def recording(problem, *args):
+        solutions.append(solve(problem, *args))
+        return solutions[-1]
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    if search is lasserre_bound:
+        res = lasserre_bound(target, system, level)
+    else:
+        res = search(MembershipProblem(target, system, level, mode=mode))
+    assert len(solutions) == 1 and solutions[0].ok
+    assert res.certificate is not None and res.verification.passed
+    blocks = solutions[0].block_values
+    assert len(res.certificate.entries) == len(blocks)
+    for entry, block in zip(res.certificate.entries, blocks):
+        assert entry.gram.dtype == block.dtype and entry.gram.shape == block.shape
+        assert entry.gram.tobytes() == block.tobytes()
+    if name == "qm-sparse-sos":
+        assert res.solver["facial_reduction_dim"] == 2
