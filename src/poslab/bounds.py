@@ -160,8 +160,10 @@ def gap_bound(inputs: BoundInputs) -> GapBound:
 @dataclass(frozen=True, eq=False)
 class LiftGrid:
     """What the lifting functions read from the grid oracle: its minimum
-    f* > 0 and the values of f and of each g_i on the grid points, flat in
-    the row order of ``grid_points``, with the grid's axes."""
+    f* > 0 and the values of f and of each g_i on the grid, each in its own
+    shape from ``Polynomial.evaluate_grid`` (length 1 on the axes of the
+    variables it does not use; they broadcast to the grid), with the grid's
+    axes."""
 
     f_star: float
     f_values: np.ndarray
@@ -264,10 +266,14 @@ def _lifted_minimum(
     g_vals: list[np.ndarray],
 ) -> float:
     """min of h = f - lam * sum_i (g_i - 1)^(2k) g_i over the grid points at
-    which f and the g_i took the values ``f_vals`` and ``g_vals``.
+    which f and the g_i took the values ``f_vals`` and ``g_vals``, each in
+    its ``evaluate_grid`` shape.
 
     h is evaluated pointwise, never expanded, after the checks of
-    ``lifting_transform`` (all but its term cap)."""
+    ``lifting_transform`` (all but its term cap).  Each penalty is computed
+    in its g_i's own shape (on ``points_per_axis`` values for a constraint
+    in one variable), and h is formed by broadcasting: every grid value
+    goes through the same operations as on the full grid."""
     _check_lift(f, system, lam, k)
     h = f_vals
     if lam != 0.0:
@@ -283,12 +289,12 @@ def _check_constraints_at_most_one(
     axes: tuple[np.ndarray, ...],
     g_vals: tuple[np.ndarray, ...],
 ) -> None:
-    shape = tuple(len(axis) for axis in axes)
+    # the first maximum in the row order of g_i's own shape; index 0 on an
+    # axis it does not use, so the first maximal grid point in row order
     for i, (g, vals) in enumerate(zip(system.constraints, g_vals)):
-        worst = int(np.argmax(vals))
+        worst = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[worst] > 1.0 + CONSTRAINT_ONE_SLACK:
-            multi = np.unravel_index(worst, shape)
-            point = tuple(float(axis[j]) for axis, j in zip(axes, multi))
+            point = tuple(float(axis[j]) for axis, j in zip(axes, worst))
             raise InputError(
                 f"constraint g{i + 1} = {g} exceeds 1 on the box: "
                 f"value {vals[worst]} at {point}"

@@ -226,8 +226,13 @@ class Polynomial:
 
     def evaluate_grid(self, axes) -> np.ndarray:
         """The values on the tensor grid of ``axes`` (one 1-D array of
-        coordinates per variable), flat, in the row order of the grid's
-        points (the first axis slowest, as ``np.meshgrid(..., indexing="ij")``).
+        coordinates per variable), as an n-d array that broadcasts to the
+        grid's shape ``(len(axes[0]), ..., len(axes[n - 1]))``: axis i has
+        the length of ``axes[i]`` when some term uses variable i, and length
+        1 otherwise, so a polynomial costs the axes of its own variables.
+        ``np.broadcast_to(values, shape).reshape(-1)`` lists them in the row
+        order of the grid's points (the first axis slowest, as
+        ``np.meshgrid(..., indexing="ij")``).
 
         Bit-identical to ``evaluate_many`` on the (N, n) array of those
         points, at the cost of the axes rather than the points: each power
@@ -243,7 +248,8 @@ class Polynomial:
                 f"need {self.dimension} one-dimensional axes, got "
                 f"{[axis.shape for axis in axes]}"
             )
-        shape = tuple(len(axis) for axis in axes)
+        used = [any(alpha[i] for alpha in self._terms) for i in range(self.dimension)]
+        shape = tuple(len(axis) if u else 1 for axis, u in zip(axes, used))
 
         def power(i: int, a: int) -> np.ndarray:
             # the axis along dimension i, length 1 along every other
@@ -252,7 +258,7 @@ class Polynomial:
 
         try:
             with np.errstate(over="ignore", invalid="raise"):
-                return self._sum_terms(power, shape).reshape(-1)
+                return self._sum_terms(power, shape)
         except FloatingPointError:
             raise InputError(
                 f"{self} is NaN on the grid: terms past the float range cancel"

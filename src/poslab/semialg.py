@@ -171,11 +171,13 @@ def grid_feasible_mask(
 ) -> np.ndarray:
     """``feasible_mask`` on the points of the grid of ``axes``, evaluated
     per axis (``Polynomial.evaluate_grid``): the same flat mask, in the same
-    row order, without the point array."""
-    mask = np.ones(math.prod(len(axis) for axis in axes), dtype=bool)
+    row order, without the point array.  Each constraint is compared on the
+    axes of its own variables, and the comparisons AND by broadcasting into
+    one grid-shaped mask."""
+    mask = np.ones(tuple(len(axis) for axis in axes), dtype=bool)
     for g in system.constraints:
         mask &= g.evaluate_grid(axes) >= -tol
-    return mask
+    return mask.reshape(-1)
 
 
 def feasible_extent(axes: tuple[np.ndarray, ...], mask: np.ndarray) -> float:
@@ -189,11 +191,14 @@ def feasible_extent(axes: tuple[np.ndarray, ...], mask: np.ndarray) -> float:
 def _best_on_grid(
     values: np.ndarray, mask: np.ndarray, shape: tuple[int, ...]
 ) -> tuple[float, tuple[int, ...]]:
-    """Minimum over masked entries (``mask`` flags at least one); exact-value
-    ties resolved by the graded order (sum of index coordinates, then the
-    index tuple, which orders as the flat index does)."""
+    """Minimum over the grid points that the flat ``mask`` flags (at least
+    one) of ``values``, an array that broadcasts to the grid's ``shape``;
+    exact-value ties resolved by the graded order (sum of index coordinates,
+    then the index tuple, which orders as the flat index does)."""
     idx = np.flatnonzero(mask)
-    vals = values[idx]
+    if values.shape != shape:  # f does not use every variable
+        values = np.broadcast_to(values, shape)
+    vals = values.reshape(-1)[idx]
     vmin = float(vals.min())
     ties = idx[vals == vmin]  # ascending, so argmin keeps the least index tuple
     best = ties[np.argmin(np.sum(np.unravel_index(ties, shape), axis=0))]
@@ -210,8 +215,9 @@ def grid_min(
 
     Each round evaluates the constraints and f per axis
     (``Polynomial.evaluate_grid``): powers on the ``points_per_axis`` axis
-    values, terms by broadcasting, bit-identical to ``evaluate_many`` on
-    the grid's points, which are never built.
+    values, terms by broadcasting, each polynomial on the axes of its own
+    variables, bit-identical to ``evaluate_many`` on the grid's points,
+    which are never built.
 
     Raises InfeasibleAtResolutionError when the initial sweep finds no
     feasible point; that outcome says nothing about the set being empty.

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import box_system
 from poslab import (
     BoundInputs,
     CapacityError,
@@ -16,6 +17,7 @@ from poslab import (
     SemialgebraicSystem,
     find_lifting_k,
     gap_bound,
+    grid_min,
     lifting_parameters,
     lifting_transform,
     lojasiewicz_estimate,
@@ -306,6 +308,45 @@ def test_find_lifting_k_rejects_constraint_above_one():
 def test_find_lifting_k_requires_positive_minimum():
     with pytest.raises(InputError):
         find_lifting_k(P("x1"), interval_system(), 0.1, GridSpec(101))
+
+
+def _full_grid_lifted_minimum(f, system, lam, k, spec):
+    # h on the (N, n) point array, one constraint at a time, as the oracle
+    # forms it
+    pts = grid_points(spec.resolved_box(system.dimension), spec.points_per_axis)
+    h = f.evaluate_many(pts)
+    with np.errstate(over="ignore"):
+        for g in system.constraints:
+            gv = g.evaluate_many(pts)
+            h = h - lam * ((gv - 1.0) ** (2 * k) * gv)
+    return float(np.min(h))
+
+
+@pytest.mark.parametrize("n, ppa", [(2, 41), (3, 13)])
+def test_lifting_on_a_box_matches_the_full_grid(n, ppa):
+    # each box constraint is evaluated on its own axis and broadcast; the
+    # lifted minimum and the k found are what the full point array gives
+    system = box_system(n)
+    spec = GridSpec(ppa, refinement_rounds=0)
+    f = P(" + ".join(["3"] + [f"{(i + 1) / 4}*x{i + 1}" for i in range(n)]), n)
+    params = lifting_parameters(f, system, 1.0, 1.0, 1.0, spec)
+    assert params.empirical_min_h == _full_grid_lifted_minimum(
+        f, system, params.lam, params.k, spec
+    )
+    target = 0.5 * grid_min(f, system, spec).minimum_value * (1.0 - 1e-6)
+    found = set()
+    for lam in (0.5, 5.0, 50.0, 1e4):
+        want = next(
+            (
+                k
+                for k in range(1, lifting_k_max(f, system, lam, 12) + 1)
+                if _full_grid_lifted_minimum(f, system, lam, k, spec) >= target
+            ),
+            None,
+        )
+        assert find_lifting_k(f, system, lam, spec, k_max=12) == want
+        found.add(want)
+    assert len(found) > 1  # the search ends at different k
 
 
 def test_lifting_parameters_formulas():

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from poslab import InputError, certificate
@@ -720,6 +721,19 @@ def test_lift_search_still_checks_constraints_above_one(tmp_path, capsys):
         find_lifting_k(P("x1 + 3", 1), system, 1.0, GridSpec(41, ((-1.0, 1.0),)))
     assert err == f"error: {direct.value}\n"
     assert "exceeds 1" in err
+    # n = 2 with a constraint in x1 only: its grid values have length 1
+    # along x2, and the message still names the first maximal grid point
+    # in row order (x1 = 0, x2 at the box's low end), as the points give it
+    box = [[-1.0, 1.0], [-0.5, 1.5]]
+    path = write_problem(tmp_path / "q.json", 2, "x1 + x2 + 3", ["2 - x1^2"], box=box)
+    assert main(["lift", "--input", path, "--grid", "41", "--lambda", "1"]) == 1
+    err = capsys.readouterr().err
+    pts = grid_points(tuple(map(tuple, box)), 41)
+    vals = P("2 - x1^2", 2).evaluate_many(pts)
+    worst = int(np.argmax(vals))
+    point = tuple(float(v) for v in pts[worst])
+    assert point == (0.0, -0.5)
+    assert err.endswith(f"exceeds 1 on the box: value {vals[worst]} at {point}\n")
 
 
 def test_estimate_cubic_exponent(tmp_path):

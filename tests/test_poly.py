@@ -145,10 +145,23 @@ def test_evaluate_many_bit_identical_to_term_by_term(n):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _assert_grid_values_match_the_points(f, box, ppa):
+    # the shape has length-1 axes exactly at the variables f does not use,
+    # and broadcast to the grid it is evaluate_many on the points, bit for bit
+    from poslab.semialg import grid_axes, grid_points
+
+    got = f.evaluate_grid(grid_axes(box, ppa))
+    used = [any(alpha[i] for alpha, _ in f.terms()) for i in range(f.dimension)]
+    assert got.shape == tuple(ppa if u else 1 for u in used)
+    flat = np.broadcast_to(got, (ppa,) * f.dimension).reshape(-1)
+    want = f.evaluate_many(grid_points(box, ppa))
+    assert np.array_equal(flat.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_evaluate_grid_bit_identical_to_evaluate_many_on_the_grid_points(n):
     # per-axis powers and broadcast products against the (N, n) point array
-    from poslab.semialg import grid_axes, grid_points
+    from poslab.semialg import grid_axes
 
     rng = np.random.default_rng(200 + n)
     per_axis = {1: 301, 2: 41, 3: 13, 4: 7}[n]
@@ -157,18 +170,30 @@ def test_evaluate_grid_bit_identical_to_evaluate_many_on_the_grid_points(n):
             tuple(int(a) for a in rng.integers(0, 9, size=n)): float(rng.normal())
             for _ in range(int(rng.integers(1, 12)))
         }
-        f = Polynomial(n, terms)
         box = tuple(tuple(sorted(rng.uniform(-2.0, 2.0, size=2))) for _ in range(n))
         ppa = int(rng.integers(2, per_axis + 1))
-        got = f.evaluate_grid(grid_axes(box, ppa))
-        want = f.evaluate_many(grid_points(box, ppa))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        _assert_grid_values_match_the_points(Polynomial(n, terms), box, ppa)
+        # the same terms with a random set of variables dropped
+        keep = rng.integers(0, 2, size=n)
+        some = {tuple(int(a * b) for a, b in zip(alpha, keep)): c for alpha, c in terms.items()}
+        _assert_grid_values_match_the_points(Polynomial(n, some), box, ppa)
     # a grid through 0 and a constant term: signed zeros and the bare scalar
-    f = Polynomial(2, {(0, 0): 0.5, (3, 0): -1.0, (1, 2): 2.0})
     box = ((-1.0, 1.0),) * 2
-    got = f.evaluate_grid(grid_axes(box, 5))
-    want = f.evaluate_many(grid_points(box, 5))
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    _assert_grid_values_match_the_points(
+        Polynomial(2, {(0, 0): 0.5, (3, 0): -1.0, (1, 2): 2.0}), box, 5
+    )
+    # polynomials that omit variables: one-variable terms, a constant, zero
+    box = ((-1.0, 1.0), (-0.5, 2.0), (0.0, 3.0))
+    for f in (
+        P("x2^3 - 2*x2 + 0.25", 3),
+        P("x1^2 + x3^5 - x1*x3", 3),
+        P("1 - x3^2", 3),
+        P("-1.5", 3),
+        Polynomial.zero(3),
+    ):
+        _assert_grid_values_match_the_points(f, box, 7)
+    assert Polynomial.zero(3).evaluate_grid(grid_axes(box, 7)).shape == (1, 1, 1)
+    assert P("1 - x3^2", 3).evaluate_grid(grid_axes(box, 7)).shape == (1, 1, 7)
 
 
 def test_evaluate_grid_overflows_to_inf_without_a_warning():

@@ -10,6 +10,7 @@ from poslab import (
     GridSpec,
     InfeasibleAtResolutionError,
     InputError,
+    Polynomial,
     SemialgebraicSystem,
     archimedean_witness,
     contains,
@@ -134,11 +135,23 @@ def test_grid_size_cap():
     assert grid_points(((-1.0, 1.0),) * 2, 1000).shape == (MAX_GRID_POINTS, 2)
 
 
+def _in_one_variable(rng, n, i, degree):
+    """A random polynomial of positive degree in x_i alone, in n variables."""
+    p = random_positive_degree_polynomial(rng, 1, degree)
+    terms = {}
+    for (a,), c in p.terms():
+        alpha = [0] * n
+        alpha[i] = a
+        terms[tuple(alpha)] = c
+    return Polynomial(n, terms)
+
+
 @pytest.mark.parametrize("n, ppa", [(1, 201), (2, 31), (3, 11)])
 def test_per_axis_grid_sweep_matches_the_point_array(n, ppa):
     # grid_min's rounds and the grid callers never build the point array;
     # what they compute from the axes is what the points give, exactly
     from poslab.semialg import (
+        ball_gap_polynomial,
         feasible_extent,
         feasible_mask,
         grid_axes,
@@ -147,21 +160,44 @@ def test_per_axis_grid_sweep_matches_the_point_array(n, ppa):
     )
 
     rng = np.random.default_rng(300 + n)
+    shape = (ppa,) * n
     for _ in range(10):
         f = random_positive_degree_polynomial(rng, n, 4)
         g = random_positive_degree_polynomial(rng, n, 2)
         ball = SemialgebraicSystem(n, (g, box_system(n).constraints[0]))
+        # each constraint in one variable, and one of them beside a ball
+        boxed = SemialgebraicSystem(
+            n, tuple(_in_one_variable(rng, n, i, 2) for i in range(n))
+        )
+        mixed = SemialgebraicSystem(
+            n,
+            (
+                _in_one_variable(rng, n, n - 1, 3),
+                ball_gap_polynomial(n, float(rng.uniform(0.5, 2.0))),
+            ),
+        )
         box = tuple(tuple(sorted(rng.uniform(-1.5, 1.5, size=2))) for _ in range(n))
         pts = grid_points(box, ppa)
         axes = grid_axes(box, ppa)
-        mask = feasible_mask(ball, pts, 1e-9)
-        assert np.array_equal(grid_feasible_mask(ball, axes, 1e-9), mask)
-        if not mask.any():
-            continue
-        assert feasible_extent(axes, mask) == float(np.max(np.abs(pts[mask])))
-        result = grid_min(f, ball, GridSpec(ppa, box, refinement_rounds=0))
-        assert result.minimum_value == float(np.min(f.evaluate_many(pts)[mask]))
-        assert result.feasible_count == int(mask.sum())
+        for system in (ball, boxed, mixed):
+            mask = feasible_mask(system, pts, 1e-9)
+            assert np.array_equal(grid_feasible_mask(system, axes, 1e-9), mask)
+            if not mask.any():
+                continue
+            assert feasible_extent(axes, mask) == float(np.max(np.abs(pts[mask])))
+            # an objective in x1 alone ties along every other axis
+            for objective in (f, _in_one_variable(rng, n, 0, 4)):
+                result = grid_min(objective, system, GridSpec(ppa, box, refinement_rounds=0))
+                values = objective.evaluate_many(pts)
+                assert result.minimum_value == float(np.min(values[mask]))
+                assert result.feasible_count == int(mask.sum())
+                # ties go to the least index sum, then the least index tuple
+                ties = np.flatnonzero(mask & (values == result.minimum_value))
+                best = min(
+                    (tuple(int(v) for v in np.unravel_index(t, shape)) for t in ties),
+                    key=lambda index: (sum(index), index),
+                )
+                assert result.argmin == tuple(pts[np.ravel_multi_index(best, shape)])
 
 
 @pytest.mark.parametrize(
